@@ -7,28 +7,23 @@ window grid, not by the metric itself.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis import HiddenHHHExperiment
 from repro.analysis.render import format_table
+from repro.experiments.hidden import hidden_rows
 from repro.trace import presets
 
 
 def run_control():
     bursty = presets.caida_like_day(0, duration=60.0)
     calm = presets.calm_trace(duration=60.0)
-    experiment = HiddenHHHExperiment(window_sizes=(10.0,), thresholds=(0.05,))
-    rows = []
-    rows.extend(experiment.run(bursty, "bursty").rows)
-    rows.extend(experiment.run(calm, "calm").rows)
-    return rows
+    grid = {"window_sizes": (10.0,), "thresholds": (0.05,)}
+    return hidden_rows(bursty, "bursty", **grid) + hidden_rows(
+        calm, "calm", **grid
+    )
 
 
 def test_ablation_burstiness_control(benchmark):
     rows = benchmark.pedantic(run_control, rounds=1, iterations=1)
-    write_result(
-        "ablation_burstiness.txt",
-        format_table([r.to_dict() for r in rows]),
-    )
-    bursty = next(r for r in rows if r.label == "bursty")
-    calm = next(r for r in rows if r.label == "calm")
-    assert bursty.hidden_percent >= calm.hidden_percent
-    assert bursty.hidden_percent > 10.0
+    write_result("ablation_burstiness.txt", format_table(rows))
+    bursty, calm = rows
+    assert bursty["hidden_%"] >= calm["hidden_%"]
+    assert bursty["hidden_%"] > 10.0

@@ -6,13 +6,16 @@ bench scores both laws (and a sliding-expiry law) in the Section 3 setup.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis.decay_experiment import (
-    DecayComparisonExperiment,
-    _score_series,
-)
 from repro.analysis.render import format_table
 from repro.decay.laws import ExponentialDecay, LinearDecay
+from repro.decay.td_hhh import TimeDecayingHHH
+from repro.experiments.decay import (
+    exact_series,
+    hidden_occurrences,
+    score_series,
+)
 from repro.windows.disjoint import DisjointWindows
+from repro.windows.schedule import Window
 from repro.windows.sliding import SlidingWindows
 
 WINDOW = 10.0
@@ -20,20 +23,13 @@ PHI = 0.05
 
 
 def run_laws(trace):
-    experiment = DecayComparisonExperiment(
-        window_size=WINDOW, phi=PHI, counters_per_level=128
+    truth = exact_series(
+        trace, SlidingWindows(WINDOW, 1.0).over_trace(trace), PHI
     )
-    sliding = list(SlidingWindows(WINDOW, 1.0).over_trace(trace))
-    disjoint = list(DisjointWindows(WINDOW).over_trace(trace))
-    truth = experiment._exact_series(trace, sliding)
-    disjoint_exact = experiment._exact_series(trace, disjoint)
-    hidden = set()
-    from repro.analysis.decay_experiment import _covered
-
-    for window, prefixes in truth:
-        for prefix in prefixes:
-            if not _covered(disjoint_exact, window, prefix):
-                hidden.add((window.index, prefix))
+    disjoint_exact = exact_series(
+        trace, DisjointWindows(WINDOW).over_trace(trace), PHI
+    )
+    hidden = hidden_occurrences(truth, disjoint_exact)
 
     # Average rate so LinearDecay drains a window's volume in ~WINDOW s.
     rate = trace.total_bytes / max(trace.duration, 1e-9)
@@ -43,13 +39,7 @@ def run_laws(trace):
     }
     rows = []
     for name, law in laws.items():
-        exp = DecayComparisonExperiment(
-            window_size=WINDOW, phi=PHI, counters_per_level=128
-        )
-        # Swap the law by monkey-free reconstruction of the TD series.
-        from repro.decay.td_hhh import TimeDecayingHHH
-        from repro.windows.schedule import Window
-
+        # The Section 3 time-decaying series, rebuilt with this law.
         detector = TimeDecayingHHH(law=law, counters_per_level=128)
         series = []
         next_query = trace.start_time + WINDOW
@@ -66,7 +56,7 @@ def run_laws(trace):
                 index += 1
                 next_query += 1.0
             detector.update(int(src[p]), int(length[p]), now)
-        recall, precision, hidden_recall = _score_series(truth, hidden, series)
+        recall, precision, hidden_recall = score_series(truth, hidden, series)
         rows.append(
             {
                 "law": name,

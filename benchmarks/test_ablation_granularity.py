@@ -7,18 +7,19 @@ computation cost; the hidden-HHH effect must survive the change.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis import HiddenHHHExperiment
 from repro.analysis.render import format_table
+from repro.experiments.hidden import hidden_rows
 from repro.hierarchy.domain import SourceHierarchy
 
 
 def run_granularity(trace, granularity):
-    experiment = HiddenHHHExperiment(
+    return hidden_rows(
+        trace,
+        label=granularity,
         window_sizes=(5.0,),
         thresholds=(0.05,),
         hierarchy=SourceHierarchy(granularity),
     )
-    return experiment.run(trace, label=granularity)
 
 
 def test_ablation_granularity(benchmark, sec3_trace):
@@ -28,15 +29,13 @@ def test_ablation_granularity(benchmark, sec3_trace):
             run_granularity(sec3_trace, "bit"),
         )
 
-    byte_result, bit_result = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [r.to_dict() for r in byte_result.rows + bit_result.rows]
-    write_result("ablation_granularity.txt", format_table(rows))
+    byte_rows, bit_rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    write_result("ablation_granularity.txt", format_table(byte_rows + bit_rows))
 
-    byte_row = byte_result.rows[0]
-    bit_row = bit_result.rows[0]
+    byte_row, bit_row = byte_rows[0], bit_rows[0]
     # Bit granularity can only refine detections: at least as many unique
     # HHHs as the byte hierarchy finds aggregates for.
-    assert bit_row.total >= byte_row.total
+    assert bit_row["sliding_total"] >= byte_row["sliding_total"]
     # The hidden effect is present in both.
-    assert byte_row.hidden_percent > 0.0
-    assert bit_row.hidden_percent > 0.0
+    assert byte_row["hidden"] > 0
+    assert bit_row["hidden"] > 0

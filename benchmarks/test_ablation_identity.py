@@ -7,18 +7,17 @@ sensitivity of the headline number to the convention.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis import HiddenHHHExperiment
 from repro.analysis.render import format_table
+from repro.experiments.hidden import hidden_rows
 
 
 def run_both(trace):
     rows = []
     for mode in ("unique", "occurrences"):
-        experiment = HiddenHHHExperiment(
-            window_sizes=(5.0, 10.0), thresholds=(0.01, 0.05), mode=mode
+        rows += hidden_rows(
+            trace, label=mode, window_sizes=(5.0, 10.0),
+            thresholds=(0.01, 0.05), mode=mode,
         )
-        for row in experiment.run(trace, label=mode).rows:
-            rows.append(row)
     return rows
 
 
@@ -26,14 +25,13 @@ def test_ablation_identity_convention(benchmark, sec3_trace):
     rows = benchmark.pedantic(
         run_both, args=(sec3_trace,), rounds=1, iterations=1
     )
-    write_result(
-        "ablation_identity.txt",
-        format_table([r.to_dict() for r in rows]),
-    )
-    unique = [r for r in rows if r.mode == "unique"]
-    occurrences = [r for r in rows if r.mode == "occurrences"]
+    write_result("ablation_identity.txt", format_table(rows))
+    unique = [r for r in rows if r["mode"] == "unique"]
+    occurrences = [r for r in rows if r["mode"] == "occurrences"]
     # Both conventions must exhibit the effect...
-    assert any(r.hidden_percent > 5.0 for r in unique)
-    assert any(r.hidden > 0 for r in occurrences)
+    assert any(r["hidden_%"] > 5.0 for r in unique)
+    assert any(r["hidden"] > 0 for r in occurrences)
     # ...and occurrence accounting has (far) larger totals by definition.
-    assert sum(r.total for r in occurrences) > sum(r.total for r in unique)
+    assert sum(r["sliding_total"] for r in occurrences) > sum(
+        r["sliding_total"] for r in unique
+    )

@@ -6,23 +6,22 @@ the step shrinks; this bench quantifies how fast the number saturates.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis import HiddenHHHExperiment
 from repro.analysis.render import format_table
+from repro.experiments.hidden import hidden_rows
 
 
 def run_steps(trace, steps=(2.0, 1.0, 0.5)):
     rows = []
     for step in steps:
-        experiment = HiddenHHHExperiment(
-            window_sizes=(10.0,), thresholds=(0.05,), step=step
+        (row,) = hidden_rows(
+            trace, window_sizes=(10.0,), thresholds=(0.05,), step=step
         )
-        row = experiment.run(trace, label=f"step={step}").rows[0]
         rows.append(
             {
                 "step_s": step,
-                "sliding_total": row.total,
-                "hidden": row.hidden,
-                "hidden_%": round(row.hidden_percent, 1),
+                "sliding_total": row["sliding_total"],
+                "hidden": row["hidden"],
+                "hidden_%": row["hidden_%"],
             }
         )
     return rows

@@ -11,12 +11,13 @@ at comparable counter budgets and pipeline stages.
 """
 
 from benchmarks.conftest import write_result
-from repro.analysis import DecayComparisonExperiment
+from repro.experiments import make_experiment
 
 
 def run_sec3(trace):
-    experiment = DecayComparisonExperiment(
-        window_size=10.0, phi=0.05, step=1.0, counters_per_level=128
+    experiment = make_experiment(
+        "decay-comparison",
+        window_size=10.0, phi=0.05, step=1.0, counters_per_level=128,
     )
     return experiment.run(trace)
 
@@ -25,23 +26,24 @@ def test_sec3_decay_comparison(benchmark, sec3_trace):
     result = benchmark.pedantic(
         run_sec3, args=(sec3_trace,), rounds=1, iterations=1
     )
+    num_hidden = result.headline["num_hidden_occurrences"]
     write_result(
         "sec3_decay_comparison.txt",
-        f"truth occurrences: {result.num_truth_occurrences}, "
-        f"hidden: {result.num_hidden_occurrences}\n" + result.to_table(),
+        f"truth occurrences: {result.headline['num_truth_occurrences']}, "
+        f"hidden: {num_hidden}\n" + result.to_table(),
     )
 
-    exact = result.score_for("disjoint-exact")
-    td = result.score_for("td-hhh")
+    scores = {r["detector"]: r for r in result.rows}
+    exact, td = scores["disjoint-exact"], scores["td-hhh"]
     # Disjoint-exact misses the hidden set by construction.
-    assert exact.hidden_recall == 0.0
+    assert exact["hidden_recall"] == 0.0
     # The windowless detector recovers a substantial part of it.
-    if result.num_hidden_occurrences:
-        assert td.hidden_recall >= 0.3
-        assert td.hidden_recall > exact.hidden_recall
+    if num_hidden:
+        assert td["hidden_recall"] >= 0.3
+        assert td["hidden_recall"] > exact["hidden_recall"]
     # Accuracy on the full truth stays competitive.
-    assert td.occurrence_recall >= 0.5
+    assert td["recall"] >= 0.5
     # Resource story: no window reset, bounded counters.
-    assert not td.window_reset
-    assert exact.window_reset
-    assert td.counters <= 128 * 5 + 1
+    assert td["window_reset"] == "no"
+    assert exact["window_reset"] == "yes"
+    assert td["counters"] <= 128 * 5 + 1

@@ -26,16 +26,21 @@ The package provides, from the bottom up:
   time-decaying Bloom filters and a windowless time-decaying HHH detector;
 - :mod:`repro.dataplane` — a match-action pipeline resource model used to
   judge "match-action friendliness";
-- :mod:`repro.metrics` and :mod:`repro.analysis` — the measurement
-  methodology itself: hidden-HHH accounting (Figure 2), window-size
-  sensitivity (Figure 3) and the Section 3 comparison.
+- :mod:`repro.metrics` — the measurement methodology itself:
+  hidden-HHH accounting, set similarity and empirical CDFs;
+- :mod:`repro.experiments` — the registered experiments, one module per
+  paper result (``hidden-hhh`` for Figure 2, ``window-sensitivity`` for
+  Figure 3, ``decay-comparison`` for Section 3) plus the perf and
+  accuracy experiments, all returning one uniform result artifact.
 
 Quickstart::
 
-    from repro import presets, HiddenHHHExperiment
+    from repro import presets
+    from repro.experiments import make_experiment
 
     trace = presets.caida_like_day(day=0, duration=60.0)
-    exp = HiddenHHHExperiment(window_sizes=(5.0,), thresholds=(0.05,))
+    exp = make_experiment("hidden-hhh", window_sizes=(5.0,),
+                          thresholds=(0.05,))
     result = exp.run(trace)
     print(result.to_table())
 """
@@ -47,11 +52,6 @@ from repro.hierarchy import SourceHierarchy
 from repro.hhh import ExactHHH, HHHResult, exact_heavy_hitters
 from repro.windows import DisjointWindows, SlidingWindows, NestedShrunkWindows
 from repro.decay import TimeDecayingBloomFilter, TimeDecayingHHH
-from repro.analysis import (
-    HiddenHHHExperiment,
-    WindowSensitivityExperiment,
-    DecayComparisonExperiment,
-)
 from repro.trace import presets
 
 __version__ = "1.0.0"
@@ -72,9 +72,6 @@ __all__ = [
     "NestedShrunkWindows",
     "TimeDecayingBloomFilter",
     "TimeDecayingHHH",
-    "HiddenHHHExperiment",
-    "WindowSensitivityExperiment",
-    "DecayComparisonExperiment",
     "presets",
     "__version__",
 ]

@@ -1,50 +1,20 @@
-"""Experiment harnesses reproducing the paper's evaluation.
+"""Shared measurement helpers under the experiment layer.
 
-- :class:`HiddenHHHExperiment` — Figure 2: percentage of hidden HHHs for
-  window sizes {5, 10, 20} s and thresholds {1 %, 5 %, 10 %};
-- :class:`WindowSensitivityExperiment` — Figure 3: Jaccard-similarity CDFs
-  of a 10 s baseline window vs windows 10–100 ms shorter;
-- :class:`DecayComparisonExperiment` — the comparison Section 3 commits to:
-  the time-decaying detector vs disjoint-window solutions on accuracy,
-  resource utilisation and update cost.
+- :mod:`repro.analysis.render` — aligned text tables, ASCII CDF curves
+  and bar charts (no plotting dependency is available offline);
+- :mod:`repro.analysis.accuracy` — exact-ground-truth precision/recall/F1
+  scoring for enumerable detectors;
+- :mod:`repro.analysis.throughput` — the scalar-vs-batch update timing
+  methodology.
 
-Each experiment consumes a :class:`repro.trace.Trace`, returns a result
-object with typed rows, and renders the same table/series the paper plots
-via ``to_table()``.
-
-These classes are the computation harnesses; the uniform, registry-driven
-API over them (declared params, string-addressable traces, JSON result
-artifacts) lives in :mod:`repro.experiments` and is what the CLI and CI
-drive.
+The paper's figures themselves (Figure 2 hidden HHHs, Figure 3 window
+sensitivity, the Section 3 comparison) are registered experiments in
+:mod:`repro.experiments`; those modules are their only implementation.
 """
 
-from repro.analysis.hidden_experiment import (
-    HiddenHHHExperiment,
-    HiddenHHHResultSet,
-    HiddenHHHRow,
-)
-from repro.analysis.sensitivity_experiment import (
-    SensitivityResult,
-    SensitivityRow,
-    WindowSensitivityExperiment,
-)
-from repro.analysis.decay_experiment import (
-    DecayComparisonExperiment,
-    DecayComparisonResult,
-    DetectorScore,
-)
 from repro.analysis.render import format_table, ascii_cdf, ascii_bars
 
 __all__ = [
-    "HiddenHHHExperiment",
-    "HiddenHHHResultSet",
-    "HiddenHHHRow",
-    "WindowSensitivityExperiment",
-    "SensitivityResult",
-    "SensitivityRow",
-    "DecayComparisonExperiment",
-    "DecayComparisonResult",
-    "DetectorScore",
     "format_table",
     "ascii_cdf",
     "ascii_bars",

@@ -41,10 +41,11 @@ artifact::
               [--detector NAME ...] [--axis AXIS ...]
               [--cases-dir DIR] [--replay FILE] [--json FILE]
 
-The paper's artefacts remain available as thin aliases over the same path
-(identical tables, same deterministic seeded presets)::
+The paper's artefacts keep short aliases; each one rewrites its flags
+into the equivalent ``run`` command line and executes that, so its output
+is ``run``'s (``_ALIASES`` below)::
 
-    repro-hhh stats     [--day N] [--duration S]      # trace summary
+    repro-hhh stats     [--day N] [--duration S]      # run trace-stats
     repro-hhh fig2      [--duration S] [--days N] [--mode unique|occurrences]
     repro-hhh fig3      [--duration S] [--phi P] [--plot]
     repro-hhh sec3      [--duration S] [--window W] [--phi P]
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.render import format_table
 from repro.core import detector_names, get_spec
@@ -73,8 +74,8 @@ from repro.experiments import (
 from repro.fuzz.plan import AXES as _FUZZ_AXES
 from repro.packet.pcap import write_pcap
 from repro.trace.spec import TraceSpec, TraceSpecError, get_scenario, scenario_names
-from repro.trace.stats import compute_stats
 from repro.experiments.result import TraceProvenance
+from repro.experiments.sensitivity import cdf_plot
 
 
 # -- argparse value types (reject garbage before trace generation) -----------
@@ -144,7 +145,11 @@ def _parse_set_args(pairs: Sequence[str] | None) -> dict[str, object]:
     return overrides
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(
+    args: argparse.Namespace,
+    show: Callable[[ExperimentResult], None] | None = None,
+) -> int:
+    """Run one experiment; ``show`` prints extra views of the result."""
     try:
         experiment_cls = get_experiment(args.experiment)
         overrides = _parse_set_args(args.set_)
@@ -167,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         # ExperimentError/TraceSpecError plus the cross-parameter checks
-        # the analysis harnesses enforce (all ValueError subclasses/uses).
+        # the experiments enforce at run time (all ValueError uses).
         return _fail(str(exc))
     print(f"{experiment_cls.name} — {experiment_cls.description}")
     print()
@@ -180,6 +185,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"traces: {', '.join(t.spec or t.label for t in result.traces)}")
     print(f"timings: build {result.timings.get('trace_build_s', 0.0):.3f}s, "
           f"run {result.timings.get('run_s', 0.0):.3f}s")
+    if show is not None:
+        show(result)
     _emit_json(result, args.json_out)
     return 0
 
@@ -345,7 +352,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.resume:
         try:
             pipeline.restore(pickle.loads(Path(args.resume).read_bytes()))
-        except (OSError, ValueError, pickle.PickleError) as exc:
+        except (OSError, EOFError, ValueError, pickle.PickleError) as exc:
+            # EOFError is pickle's answer to an empty file, which a crash
+            # between opening and writing the checkpoint leaves behind.
             return _fail(f"cannot resume from {args.resume}: {exc}")
         print(f"resumed at packet {pipeline.packets} "
               f"(emission {pipeline.emissions}) from {args.resume}")
@@ -439,7 +448,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if path.exists():
                 try:
                     resumes[name] = pickle.loads(path.read_bytes())
-                except (OSError, pickle.PickleError, ValueError) as exc:
+                except (OSError, EOFError, pickle.PickleError,
+                        ValueError) as exc:
+                    # EOFError: an empty file (see _cmd_stream).
                     return _fail(f"cannot resume {name!r} from {path}: {exc}")
 
     rows: list[dict[str, object]] = []
@@ -650,102 +661,55 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if report.divergences else 0
 
 
-# -- paper-artefact aliases (thin wrappers over the registry path) -----------
+# -- paper-artefact aliases (argv rewrites onto `run`) ------------------------
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    spec = f"caida:day={args.day},duration={args.duration}"
-    try:
-        trace = TraceSpec.parse(spec).build()
-    except TraceSpecError as exc:
-        return _fail(str(exc))
-    print(f"synthetic CAIDA-like day {args.day}:")
-    for line in compute_stats(trace).to_lines():
-        print("  " + line)
-    return 0
+def _fig2_argv(args: argparse.Namespace) -> list[str]:
+    argv = ["hidden-hhh", "--set", f"mode={args.mode}"]
+    for day in range(args.days):
+        argv += ["--trace", f"caida:day={day},duration={args.duration}",
+                 "--label", f"day{day}"]
+    return argv
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    specs = [
-        f"caida:day={day},duration={args.duration}"
-        for day in range(args.days)
-    ]
-    try:
-        result = run_experiment(
-            "hidden-hhh",
-            trace_specs=specs,
-            overrides={"mode": args.mode},
-            labels=[f"day{day}" for day in range(args.days)],
-        )
-    except ValueError as exc:
-        # ExperimentError/TraceSpecError plus the cross-parameter checks
-        # the analysis harnesses enforce (all ValueError subclasses/uses).
-        return _fail(str(exc))
-    print("Figure 2 — percentage of hidden HHHs")
-    print(result.to_table())
-    print()
-    print(f"max hidden: {result.headline['max_hidden_percent']:.1f}% "
-          "(paper reports up to 34%)")
-    _emit_json(result, args.json_out)
-    return 0
+def _bench_argv(args: argparse.Namespace) -> list[str]:
+    argv = ["batch-throughput",
+            "--trace", f"caida:day=0,duration={args.duration}"]
+    if args.detector:
+        argv += ["--set", "detectors=" + ",".join(args.detector)]
+    return argv
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    try:
-        result = run_experiment(
-            "window-sensitivity",
-            trace_specs=[f"sensitivity:duration={args.duration}"],
-            overrides={"phi": args.phi},
-        )
-    except ValueError as exc:
-        # ExperimentError/TraceSpecError plus the cross-parameter checks
-        # the analysis harnesses enforce (all ValueError subclasses/uses).
-        return _fail(str(exc))
-    print("Figure 3 — Jaccard similarity vs baseline window")
-    print(result.to_table())
-    if args.plot:
-        sensitivity = result.extras["sensitivity"]
-        for delta in (0.04, 0.10):
-            print()
-            print(sensitivity.to_cdf_plot(delta))
-    _emit_json(result, args.json_out)
-    return 0
+#: Alias -> its parsed flags as the equivalent ``run`` argv (the table
+#: EXPERIMENTS.md lists under "Paper-artefact aliases").
+_ALIASES: dict[str, Callable[[argparse.Namespace], list[str]]] = {
+    "stats": lambda a: [
+        "trace-stats", "--trace", f"caida:day={a.day},duration={a.duration}",
+    ],
+    "fig2": _fig2_argv,
+    "fig3": lambda a: [
+        "window-sensitivity", "--trace", f"sensitivity:duration={a.duration}",
+        "--set", f"phi={a.phi}",
+    ],
+    "sec3": lambda a: [
+        "decay-comparison", "--trace", f"caida:day=0,duration={a.duration}",
+        "--set", f"window_size={a.window}", "--set", f"phi={a.phi}",
+    ],
+    "bench": _bench_argv,
+}
 
 
-def _cmd_sec3(args: argparse.Namespace) -> int:
-    try:
-        result = run_experiment(
-            "decay-comparison",
-            trace_specs=[f"caida:day=0,duration={args.duration}"],
-            overrides={"window_size": args.window, "phi": args.phi},
-        )
-    except ValueError as exc:
-        # ExperimentError/TraceSpecError plus the cross-parameter checks
-        # the analysis harnesses enforce (all ValueError subclasses/uses).
-        return _fail(str(exc))
-    print("Section 3 — time-decaying vs disjoint-window detection")
-    print(f"truth occurrences: {result.headline['num_truth_occurrences']}, "
-          f"hidden: {result.headline['num_hidden_occurrences']}")
-    print(result.to_table())
-    _emit_json(result, args.json_out)
-    return 0
+def _print_cdf_plots(result: ExperimentResult) -> None:
+    for delta in (0.04, 0.10):
+        print()
+        print(cdf_plot(result, delta))
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    names = args.detector or ["countmin", "ondemand-tdbf", "spacesaving"]
-    try:
-        result = run_experiment(
-            "batch-throughput",
-            trace_specs=[f"caida:day=0,duration={args.duration}"],
-            overrides={"detectors": tuple(names)},
-        )
-    except ValueError as exc:
-        # ExperimentError/TraceSpecError plus the cross-parameter checks
-        # the analysis harnesses enforce (all ValueError subclasses/uses).
-        return _fail(str(exc))
-    print("Batch vs scalar update throughput (packets/second)")
-    print(result.to_table())
-    _emit_json(result, args.json_out)
-    return 0
+def _cmd_alias(args: argparse.Namespace) -> int:
+    argv = ["run", *_ALIASES[args.command](args)]
+    if getattr(args, "json_out", None):
+        argv.append(f"--json={args.json_out}")
+    show = _print_cdf_plots if getattr(args, "plot", False) else None
+    return _cmd_run(build_parser().parse_args(argv), show)
 
 
 def _cmd_pcap(args: argparse.Namespace) -> int:
@@ -965,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="summarise a synthetic trace")
     p.add_argument("--day", type=_day_int, default=0)
     p.add_argument("--duration", type=_positive_float, default=120.0)
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_alias)
 
     p = sub.add_parser("fig2", help="hidden-HHH percentages (Figure 2)")
     p.add_argument("--duration", type=_positive_float, default=120.0)
@@ -973,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unique", "occurrences"),
                    default="unique")
     p.add_argument("--json", dest="json_out", metavar="FILE")
-    p.set_defaults(func=_cmd_fig2)
+    p.set_defaults(func=_cmd_alias)
 
     p = sub.add_parser("fig3", help="window-size sensitivity (Figure 3)")
     p.add_argument("--duration", type=_positive_float, default=240.0)
@@ -981,14 +945,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true",
                    help="also print ASCII CDF curves")
     p.add_argument("--json", dest="json_out", metavar="FILE")
-    p.set_defaults(func=_cmd_fig3)
+    p.set_defaults(func=_cmd_alias)
 
     p = sub.add_parser("sec3", help="decay-vs-windows comparison (Section 3)")
     p.add_argument("--duration", type=_positive_float, default=120.0)
     p.add_argument("--window", type=_positive_float, default=10.0)
     p.add_argument("--phi", type=_phi_float, default=0.05)
     p.add_argument("--json", dest="json_out", metavar="FILE")
-    p.set_defaults(func=_cmd_sec3)
+    p.set_defaults(func=_cmd_alias)
 
     p = sub.add_parser(
         "bench", help="batch vs scalar update throughput by detector name"
@@ -997,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry name (repeatable; default: a sample)")
     p.add_argument("--duration", type=_positive_float, default=20.0)
     p.add_argument("--json", dest="json_out", metavar="FILE")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_alias)
 
     p = sub.add_parser("pcap", help="export a synthetic trace to pcap")
     p.add_argument("--out", required=True)

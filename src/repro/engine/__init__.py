@@ -28,7 +28,7 @@ from repro.engine.serve import (
     TenantError,
     WorkerCrashError,
 )
-from repro.engine.sharded import ShardedDetector, sharded_factory
+from repro.engine.sharded import ShardedDetector
 from repro.engine.shm import ChunkRing
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "partition_batch",
     "shard_ids",
     "shard_of_key",
-    "sharded_factory",
 ]

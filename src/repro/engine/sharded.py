@@ -184,15 +184,3 @@ class ShardedDetector(Detector):
             f"runner={self.runner!r})"
         )
 
-
-def sharded_factory(
-    detector_factory: Callable[[], Detector],
-    num_shards: int,
-    runner: ParallelRunner | None = None,
-) -> Callable[[], ShardedDetector]:
-    """A zero-argument factory of :class:`ShardedDetector` — what the
-    windowed driver consumes so whole windows fan out per shard."""
-    def build() -> ShardedDetector:
-        return ShardedDetector(detector_factory, num_shards, runner)
-
-    return build

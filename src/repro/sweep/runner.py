@@ -10,7 +10,7 @@ uses, so a cell's rows byte-match the standalone run), fanned out through
 Cells ship back as decoded ``experiment-result/v1`` documents rather than
 live :class:`ExperimentResult` objects (``extras`` never cross the
 boundary), and a cell that fails with a ``ValueError`` — bad parameter
-values, unknown scenario names, harness cross-parameter checks — is
+values, unknown scenario names, run-time cross-parameter checks — is
 recorded per cell (``status``/``error``) instead of killing the sweep.
 Anything else (a genuine bug, a dead pool worker) still propagates: a
 crash should be loud, not a quiet ``status=error`` row.  For deterministic experiments the two backends are
@@ -37,7 +37,7 @@ from repro.sweep.spec import SweepCell, SweepError, SweepSpec
 def _execute_cell(payload: tuple[SweepCell, bool]) -> dict[str, object]:
     """Worker task: run one cell, returning a serializable outcome dict.
 
-    ``ValueError`` (bad parameter values, harness cross-parameter checks)
+    ``ValueError`` (bad parameter values, run-time cross-parameter checks)
     is captured as a per-cell error; anything else is a bug and propagates.
     """
     from repro.experiments.runner import run_experiment

@@ -34,7 +34,6 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from repro.engine import ParallelRunner, sharded_factory
 from repro.packet.model import Packet
 from repro.trace.container import Trace
 from repro.windows.schedule import Window, edge_schedule
@@ -47,7 +46,7 @@ class WindowSlice:
     ``start``/``stop`` are packet indices into the trace's columns
     (half-open) and ``bytes`` the window's byte volume — computed once by
     :func:`window_slices` and shared by every consumer (the driver's own
-    reporting loop, the Section 3 harness, window-aligned stream emission)
+    reporting loop, the Section 3 experiment, window-aligned stream emission)
     instead of each recomputing ``searchsorted`` boundaries.
     """
 
@@ -135,18 +134,6 @@ class WindowedDetectorDriver:
     emit_partial:
         When true, the trailing partial window (the one holding the last
         packet) is reported as well instead of being dropped.
-    shards:
-        When given (> 1), each window's detector is a key-partitioned
-        :class:`repro.engine.ShardedDetector` of ``shards`` replicas built
-        by ``detector_factory``, so whole windows fan out per shard.
-        Reports stay equivalent by construction (each key lives in one
-        shard); per-window capacity scales with the shard count.
-        ``shards=1`` keeps the plain factory unless a runner is given
-        (then the single shard still runs through the runner's backend).
-    runner:
-        Optional :class:`repro.engine.ParallelRunner` executing the
-        per-shard updates (serial or process pool).  Only meaningful with
-        ``shards``.
     """
 
     def __init__(
@@ -156,35 +143,23 @@ class WindowedDetectorDriver:
         key_func: Callable[[Packet], int] | None = None,
         phi: float = 0.05,
         emit_partial: bool = False,
-        shards: int | None = None,
-        runner: "ParallelRunner | None" = None,
     ) -> None:
         if window_size <= 0:
             raise ValueError(f"window_size must be positive, got {window_size}")
         if not 0.0 < phi <= 1.0:
             raise ValueError(f"phi must be in (0, 1], got {phi}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if runner is not None and shards is None:
-            raise ValueError("runner requires shards")
-        if shards is not None and (shards > 1 or runner is not None):
-            detector_factory = sharded_factory(
-                detector_factory, shards, runner
-            )
         self.detector_factory = detector_factory
         self.window_size = window_size
         self.key_func = key_func
         self.phi = phi
         self.emit_partial = emit_partial
-        self.shards = shards
-        self.runner = runner
 
     def window_slices(self, trace: Trace) -> list[WindowSlice]:
         """The driver's window schedule with packet/byte offsets exposed.
 
         This is the single place boundaries are computed; :meth:`run`
         consumes it internally, and callers that need offsets (the
-        Section 3 harness, window-aligned stream emission) share it
+        Section 3 experiment, window-aligned stream emission) share it
         instead of recomputing ``searchsorted`` per window.
         """
         return window_slices(trace, self.window_size, self.emit_partial)

@@ -1,8 +1,8 @@
-"""Tests for the Section 3 comparison harness."""
+"""Tests for the Section 3 comparison experiment (``decay-comparison``)."""
 
 import pytest
 
-from repro.analysis.decay_experiment import DecayComparisonExperiment
+from repro.experiments import make_experiment
 
 
 @pytest.fixture(scope="module")
@@ -10,15 +10,19 @@ def comparison(request):
     from repro.trace import presets
 
     trace = presets.caida_like_day(0, duration=30.0)
-    exp = DecayComparisonExperiment(
-        window_size=5.0, phi=0.05, counters_per_level=64
+    exp = make_experiment(
+        "decay-comparison", window_size=5.0, phi=0.05, counters_per_level=64
     )
     return exp.run(trace)
 
 
+def _score(comparison, name):
+    return next(r for r in comparison.rows if r["detector"] == name)
+
+
 class TestDecayComparison:
     def test_all_detectors_scored(self, comparison):
-        names = {s.name for s in comparison.scores}
+        names = {r["detector"] for r in comparison.rows}
         assert names == {
             "disjoint-exact",
             "disjoint-rhhh",
@@ -27,45 +31,42 @@ class TestDecayComparison:
         }
 
     def test_scores_bounded(self, comparison):
-        for score in comparison.scores:
-            assert 0.0 <= score.occurrence_recall <= 1.0
-            assert 0.0 <= score.precision <= 1.0
-            assert 0.0 <= score.hidden_recall <= 1.0
+        for row in comparison.rows:
+            assert 0.0 <= row["recall"] <= 1.0
+            assert 0.0 <= row["precision"] <= 1.0
+            assert 0.0 <= row["hidden_recall"] <= 1.0
 
     def test_disjoint_exact_misses_hidden_by_construction(self, comparison):
-        score = comparison.score_for("disjoint-exact")
-        assert score.hidden_recall == 0.0
-        assert score.window_reset
+        score = _score(comparison, "disjoint-exact")
+        assert score["hidden_recall"] == 0.0
+        assert score["window_reset"] == "yes"
 
     def test_td_hhh_recovers_hidden(self, comparison):
         """The Section 3 thesis: the windowless detector sees (most of)
         what disjoint windows hide."""
-        td = comparison.score_for("td-hhh")
-        exact = comparison.score_for("disjoint-exact")
-        assert not td.window_reset
-        if comparison.num_hidden_occurrences > 0:
-            assert td.hidden_recall > exact.hidden_recall
-            assert td.hidden_recall > 0.3
+        td = _score(comparison, "td-hhh")
+        exact = _score(comparison, "disjoint-exact")
+        assert td["window_reset"] == "no"
+        if comparison.headline["num_hidden_occurrences"] > 0:
+            assert td["hidden_recall"] > exact["hidden_recall"]
+            assert td["hidden_recall"] > 0.3
+        assert comparison.headline["td_hidden_recall"] == td["hidden_recall"]
 
     def test_td_overall_recall_competitive(self, comparison):
-        td = comparison.score_for("td-hhh")
-        assert td.occurrence_recall > 0.5
+        assert _score(comparison, "td-hhh")["recall"] > 0.5
 
     def test_resources_recorded(self, comparison):
-        td = comparison.score_for("td-hhh")
-        assert td.counters > 0
-        assert td.stages and td.stages >= 1
-        assert td.sram_kib and td.sram_kib > 0
+        td = _score(comparison, "td-hhh")
+        assert td["counters"] > 0
+        assert td["stages"] >= 1
+        assert td["sram_kib"] > 0
 
     def test_truth_statistics(self, comparison):
-        assert comparison.num_truth_occurrences > 0
-        assert 0 <= comparison.num_hidden_occurrences <= comparison.num_truth_occurrences
+        truth = comparison.headline["num_truth_occurrences"]
+        assert truth > 0
+        assert 0 <= comparison.headline["num_hidden_occurrences"] <= truth
 
     def test_table_renders(self, comparison):
         table = comparison.to_table()
         assert "td-hhh" in table
         assert "hidden_recall" in table
-
-    def test_unknown_detector_raises(self, comparison):
-        with pytest.raises(KeyError):
-            comparison.score_for("nope")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import detector_names, get_spec, make_detector
-from repro.engine import ShardedDetector, shard_of_key, sharded_factory
+from repro.engine import ShardedDetector, shard_of_key
 
 
 @pytest.fixture(scope="module")
@@ -157,15 +157,6 @@ def test_empty_batch_is_noop():
 def test_bad_shard_count():
     with pytest.raises(ValueError, match="num_shards"):
         ShardedDetector(lambda: make_detector("countmin"), 0)
-
-
-def test_sharded_factory_builds_fresh_instances():
-    factory = sharded_factory(lambda: make_detector("countmin"), 2)
-    a, b = factory(), factory()
-    assert a is not b
-    assert a.num_shards == b.num_shards == 2
-    a.update(7, 100)
-    assert b.estimate(7) == 0
 
 
 def test_every_registry_detector_shards(stream):

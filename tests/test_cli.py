@@ -84,8 +84,9 @@ class TestInputValidation:
         assert "rejected" in capsys.readouterr().err
 
     def test_harness_cross_param_error_clean(self, capsys):
-        # Each param passes its own check, but the harness enforces
-        # delta < baseline_size; must not escape as a traceback.
+        # Each param passes its own check, but the experiment enforces
+        # delta < baseline_size at run time; must not escape as a
+        # traceback.
         assert main(
             ["run", "window-sensitivity", "--set", "baseline_size=0.05"]
         ) == 2
@@ -108,7 +109,7 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "hidden_%" in out
-        assert "max hidden" in out
+        assert "max_hidden_percent" in out
 
     def test_fig3_small(self, capsys):
         assert main(["fig3", "--duration", "25"]) == 0
@@ -185,14 +186,47 @@ class TestRegistryCommands:
         assert document["experiment"] == name
         assert document["rows"]
 
-    def test_fig2_alias_json(self, tmp_path):
-        out_file = tmp_path / "fig2.json"
-        assert main([
-            "fig2", "--duration", "10", "--days", "2",
-            "--json", str(out_file),
-        ]) == 0
-        document = json.loads(out_file.read_text())
-        validate_result_dict(document)
-        assert document["experiment"] == "hidden-hhh"
-        assert len(document["traces"]) == 2
-        assert document["traces"][0]["label"] == "day0"
+    #: alias argv -> the ``run`` argv it rewrites to (EXPERIMENTS.md's
+    #: "Paper-artefact aliases" table).
+    ALIAS_RUNS = {
+        "fig2": (
+            ["fig2", "--duration", "10", "--days", "2"],
+            ["run", "hidden-hhh", "--set", "mode=unique",
+             "--trace", "caida:day=0,duration=10.0", "--label", "day0",
+             "--trace", "caida:day=1,duration=10.0", "--label", "day1"],
+        ),
+        "fig3": (
+            ["fig3", "--duration", "25", "--phi", "0.1"],
+            ["run", "window-sensitivity",
+             "--trace", "sensitivity:duration=25.0", "--set", "phi=0.1"],
+        ),
+        "sec3": (
+            ["sec3", "--duration", "15", "--window", "5"],
+            ["run", "decay-comparison",
+             "--trace", "caida:day=0,duration=15.0",
+             "--set", "window_size=5.0", "--set", "phi=0.05"],
+        ),
+        "bench": (
+            ["bench", "--detector", "countmin", "--duration", "2"],
+            ["run", "batch-throughput",
+             "--trace", "caida:day=0,duration=2.0",
+             "--set", "detectors=countmin"],
+        ),
+    }
+
+    @pytest.mark.parametrize("alias", sorted(ALIAS_RUNS))
+    def test_alias_json_matches_run(self, alias, tmp_path):
+        documents = []
+        for argv in self.ALIAS_RUNS[alias]:
+            out_file = tmp_path / f"{argv[0]}.json"
+            assert main([*argv, "--json", str(out_file)]) == 0
+            document = json.loads(out_file.read_text())
+            validate_result_dict(document)
+            documents.append(document)
+        via_alias, via_run = documents
+        # bench rows are wall-clock timings; everything else is seeded.
+        keys = ["experiment", "params", "traces"]
+        if alias != "bench":
+            keys.append("rows")
+        for key in keys:
+            assert via_alias[key] == via_run[key], key
