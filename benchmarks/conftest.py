@@ -2,13 +2,15 @@
 
 Benchmarks regenerate the paper's artefacts at laptop scale: trace
 durations default to a fraction of the paper's (1 h / 20 min) since the
-effect sizes are duration-stable; RESULTS_DIR collects the regenerated
-tables so ``bench_output.txt`` plus ``benchmarks/results/`` together record
-a full run.
+effect sizes are duration-stable.  RESULTS_DIR holds the tables: the
+deterministic ones (the paper figures, ablations and extensions) are
+committed goldens that :func:`assert_result` compares byte for byte, and
+the timing tables are rewritten on every run by :func:`write_result`.
 """
 
 from __future__ import annotations
 
+import difflib
 from pathlib import Path
 
 import pytest
@@ -19,11 +21,42 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a regenerated table next to the benchmarks."""
+    """Persist a regenerated (timing) table next to the benchmarks."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n")
     print(f"\n--- {name} ---")
     print(text)
+
+
+def assert_result(name: str, text: str) -> None:
+    """Fail unless a deterministic table equals its committed golden file.
+
+    A missing golden is written and the test fails, so regenerating a
+    table after an intended change means deleting its file and rerunning
+    the benchmark twice (the second run must pass).
+    """
+    path = RESULTS_DIR / name
+    print(f"\n--- {name} ---")
+    print(text)
+    if not path.exists():
+        RESULTS_DIR.mkdir(exist_ok=True)
+        path.write_text(text + "\n")
+        pytest.fail(
+            f"no golden {path}; wrote this run's table, rerun to check",
+            pytrace=False,
+        )
+    committed = path.read_text()
+    if committed != text + "\n":
+        diff = difflib.unified_diff(
+            committed.splitlines(keepends=True),
+            (text + "\n").splitlines(keepends=True),
+            fromfile=f"{name} (committed)",
+            tofile=f"{name} (this run)",
+        )
+        pytest.fail(
+            f"{name} differs from the committed table:\n" + "".join(diff),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ hidden information is created by traffic dynamics interacting with the
 window grid, not by the metric itself.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.experiments.hidden import hidden_rows
 from repro.trace import presets
@@ -23,7 +23,7 @@ def run_control():
 
 def test_ablation_burstiness_control(benchmark):
     rows = benchmark.pedantic(run_control, rounds=1, iterations=1)
-    write_result("ablation_burstiness.txt", format_table(rows))
+    assert_result("ablation_burstiness.txt", format_table(rows))
     bursty, calm = rows
     assert bursty["hidden_%"] >= calm["hidden_%"]
     assert bursty["hidden_%"] > 10.0

@@ -1,11 +1,11 @@
-"""Ablation: decay law in the windowless detector (DESIGN.md call-out).
+"""Ablation: decay law in the windowless detector.
 
 Bianchi et al.'s original TDBF decays linearly; the exponential law makes
 the decayed volume an EWMA directly comparable to a trailing window.  This
-bench scores both laws (and a sliding-expiry law) in the Section 3 setup.
+bench scores both laws in the Section 3 setup.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.decay.laws import ExponentialDecay, LinearDecay
 from repro.decay.td_hhh import TimeDecayingHHH
@@ -71,7 +71,7 @@ def run_laws(trace):
 def test_ablation_decay_law(benchmark, sec3_trace):
     rows = benchmark.pedantic(run_laws, args=(sec3_trace,), rounds=1,
                               iterations=1)
-    write_result("ablation_decay_law.txt", format_table(rows))
+    assert_result("ablation_decay_law.txt", format_table(rows))
     by_law = {r["law"]: r for r in rows}
     # The ablation's finding: the exponential law (whose decayed volume is
     # an EWMA directly calibrated to the window) is the right choice; the

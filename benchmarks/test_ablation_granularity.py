@@ -1,12 +1,11 @@
-"""Ablation: hierarchy granularity, byte (/8 steps) vs bit (DESIGN.md
-call-out).
+"""Ablation: hierarchy granularity, byte (/8 steps) vs bit.
 
 The paper uses the conventional byte hierarchy.  Bit granularity multiplies
 the level count by 8 and therefore both the HHH population and the exact
 computation cost; the hidden-HHH effect must survive the change.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.experiments.hidden import hidden_rows
 from repro.hierarchy.domain import SourceHierarchy
@@ -30,7 +29,7 @@ def test_ablation_granularity(benchmark, sec3_trace):
         )
 
     byte_rows, bit_rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result("ablation_granularity.txt", format_table(byte_rows + bit_rows))
+    assert_result("ablation_granularity.txt", format_table(byte_rows + bit_rows))
 
     byte_row, bit_row = byte_rows[0], bit_rows[0]
     # Bit granularity can only refine detections: at least as many unique

@@ -1,4 +1,4 @@
-"""Ablation: hidden-HHH accounting convention (DESIGN.md call-out).
+"""Ablation: hidden-HHH accounting convention.
 
 Figure 2's number depends on what counts as "one HHH": a unique prefix
 over the whole trace, or one per-window detection occurrence.  This bench
@@ -6,7 +6,7 @@ runs both conventions on the same trace so EXPERIMENTS.md can report the
 sensitivity of the headline number to the convention.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.experiments.hidden import hidden_rows
 
@@ -25,7 +25,7 @@ def test_ablation_identity_convention(benchmark, sec3_trace):
     rows = benchmark.pedantic(
         run_both, args=(sec3_trace,), rounds=1, iterations=1
     )
-    write_result("ablation_identity.txt", format_table(rows))
+    assert_result("ablation_identity.txt", format_table(rows))
     unique = [r for r in rows if r["mode"] == "unique"]
     occurrences = [r for r in rows if r["mode"] == "occurrences"]
     # Both conventions must exhibit the effect...

@@ -1,11 +1,11 @@
-"""Ablation: sliding-window step size (DESIGN.md call-out).
+"""Ablation: sliding-window step size.
 
 The paper slides by 1 s.  A finer step reveals at least as many HHHs (more
 window placements), so the hidden percentage is monotone non-decreasing as
 the step shrinks; this bench quantifies how fast the number saturates.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.experiments.hidden import hidden_rows
 
@@ -31,7 +31,7 @@ def test_ablation_sliding_step(benchmark, sec3_trace):
     rows = benchmark.pedantic(
         run_steps, args=(sec3_trace,), rounds=1, iterations=1
     )
-    write_result("ablation_step.txt", format_table(rows))
+    assert_result("ablation_step.txt", format_table(rows))
     by_step = {r["step_s"]: r for r in rows}
     # Finer steps see at least as many unique HHHs.
     assert by_step[0.5]["sliding_total"] >= by_step[2.0]["sliding_total"]

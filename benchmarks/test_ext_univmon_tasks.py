@@ -8,7 +8,7 @@ cardinality) that motivate deploying it per window — the capability a
 windowless replacement must eventually match.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.analysis.render import format_table
 from repro.hhh.exact_hh import exact_heavy_hitters
 from repro.sketch.univmon import UnivMon
@@ -48,7 +48,7 @@ def test_ext_univmon_tasks(benchmark, sec3_trace):
     rows = benchmark.pedantic(
         run_univmon, args=(sec3_trace,), rounds=1, iterations=1
     )
-    write_result("ext_univmon_tasks.txt", format_table(rows))
+    assert_result("ext_univmon_tasks.txt", format_table(rows))
     # Heavy-hitter recall per window stays high.
     mean_recall = sum(r["recall"] for r in rows) / len(rows)
     assert mean_recall >= 0.7

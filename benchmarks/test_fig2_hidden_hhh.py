@@ -6,7 +6,7 @@ are a substantial fraction everywhere (paper: up to 34%; 24-34% at the 1%
 threshold, 18-24% at 5%).
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.experiments import make_experiment
 
 
@@ -27,7 +27,7 @@ def test_fig2_hidden_hhh(benchmark, fig2_traces):
         run_fig2, args=(fig2_traces,), rounds=1, iterations=1
     )
     max_hidden = result.headline["max_hidden_percent"]
-    write_result(
+    assert_result(
         "fig2_hidden_hhh.txt",
         result.to_table()
         + f"\n\nmax hidden: {max_hidden:.1f}% (paper: up to 34%)",

@@ -6,7 +6,7 @@ degrades monotonically with the shrink delta, with a visible fraction of
 windows already changed at small deltas.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.experiments import make_experiment
 from repro.experiments.sensitivity import cdf_plot
 
@@ -22,7 +22,7 @@ def test_fig3_window_sensitivity(benchmark, fig3_trace):
     result = benchmark.pedantic(
         run_fig3, args=(fig3_trace,), rounds=1, iterations=1
     )
-    write_result(
+    assert_result(
         "fig3_window_sensitivity.txt",
         result.to_table()
         + "\n\n" + cdf_plot(result, 0.04)

@@ -10,7 +10,7 @@ occurrences (the disjoint-exact reference recovers none by construction)
 at comparable counter budgets and pipeline stages.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import assert_result
 from repro.experiments import make_experiment
 
 
@@ -27,7 +27,7 @@ def test_sec3_decay_comparison(benchmark, sec3_trace):
         run_sec3, args=(sec3_trace,), rounds=1, iterations=1
     )
     num_hidden = result.headline["num_hidden_occurrences"]
-    write_result(
+    assert_result(
         "sec3_decay_comparison.txt",
         f"truth occurrences: {result.headline['num_truth_occurrences']}, "
         f"hidden: {num_hidden}\n" + result.to_table(),

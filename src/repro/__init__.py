@@ -7,11 +7,11 @@ The package provides, from the bottom up:
   (scalar + vectorized batch updates) and the string-keyed detector
   registry every other layer programs against;
 - :mod:`repro.net` — IPv4 address and prefix algebra;
-- :mod:`repro.hashing` — seeded, deterministic hash families for sketches;
-- :mod:`repro.packet` — packet records, flow keys and pcap I/O;
+- :mod:`repro.hashing` — a seeded, deterministic hash family for sketches;
+- :mod:`repro.packet` — packet records and pcap I/O;
 - :mod:`repro.trace` — synthetic Tier-1-like trace generation (the CAIDA
   substitute) and trace statistics;
-- :mod:`repro.hierarchy` — prefix hierarchies (1D and 2D);
+- :mod:`repro.hierarchy` — the 1D source-prefix hierarchy;
 - :mod:`repro.hhh` — exact heavy-hitter and hierarchical-heavy-hitter
   ground-truth algorithms;
 - :mod:`repro.windows` — the three window models of the paper's Figure 1
@@ -46,7 +46,7 @@ Quickstart::
 """
 
 from repro.core import Detector, detector_names, make_detector
-from repro.net import IPv4Address, Prefix
+from repro.net import Prefix
 from repro.packet import Packet
 from repro.hierarchy import SourceHierarchy
 from repro.hhh import ExactHHH, HHHResult, exact_heavy_hitters
@@ -60,7 +60,6 @@ __all__ = [
     "Detector",
     "detector_names",
     "make_detector",
-    "IPv4Address",
     "Prefix",
     "Packet",
     "SourceHierarchy",

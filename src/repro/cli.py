@@ -316,11 +316,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # -- the streaming runtime (online emissions, checkpoint/resume) -------------
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import pickle
-    from pathlib import Path
-
-    from repro.core import get_enumerable_spec
+    from repro.core import get_enumerable_spec, read_checkpoint, write_checkpoint
     from repro.stream import (
+        STREAM_CHECKPOINT_SCHEMA,
         StreamPipeline,
         build_stream_detector,
         emission_rows,
@@ -351,10 +349,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
     if args.resume:
         try:
-            pipeline.restore(pickle.loads(Path(args.resume).read_bytes()))
-        except (OSError, EOFError, ValueError, pickle.PickleError) as exc:
-            # EOFError is pickle's answer to an empty file, which a crash
-            # between opening and writing the checkpoint leaves behind.
+            pipeline.restore(
+                read_checkpoint(args.resume, STREAM_CHECKPOINT_SCHEMA)
+            )
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot resume from {args.resume}: {exc}")
         print(f"resumed at packet {pipeline.packets} "
               f"(emission {pipeline.emissions}) from {args.resume}")
@@ -391,9 +389,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"{pipeline.chunk_index} chunks, {pipeline.emissions} emissions"
     )
     if args.checkpoint:
-        Path(args.checkpoint).write_bytes(
-            pickle.dumps(pipeline.checkpoint(), protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        write_checkpoint(args.checkpoint, pipeline.checkpoint())
         print(f"checkpoint -> {args.checkpoint}")
     if args.json_out:
         result = ExperimentResult(
@@ -426,11 +422,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 # -- the serve runtime (multi-tenant persistent shard workers) ----------------
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import pickle
     from pathlib import Path
 
+    from repro.core import read_checkpoint, write_checkpoint
     from repro.engine.serve import ServeError
-    from repro.stream import ServeRuntime
+    from repro.stream import STREAM_CHECKPOINT_SCHEMA, ServeRuntime
 
     tenants: list[tuple[str, str]] = []
     for pair in args.tenant:
@@ -447,10 +443,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             path = Path(args.resume_dir) / f"{name}.ckpt"
             if path.exists():
                 try:
-                    resumes[name] = pickle.loads(path.read_bytes())
-                except (OSError, EOFError, pickle.PickleError,
-                        ValueError) as exc:
-                    # EOFError: an empty file (see _cmd_stream).
+                    resumes[name] = read_checkpoint(
+                        path, STREAM_CHECKPOINT_SCHEMA
+                    )
+                except (OSError, ValueError) as exc:
                     return _fail(f"cannot resume {name!r} from {path}: {exc}")
 
     rows: list[dict[str, object]] = []
@@ -520,10 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     directory = Path(args.checkpoint_dir)
                     directory.mkdir(parents=True, exist_ok=True)
                     path = directory / f"{name}.ckpt"
-                    path.write_bytes(pickle.dumps(
-                        runtime.checkpoint_tenant(name),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ))
+                    write_checkpoint(path, runtime.checkpoint_tenant(name))
                     print(f"{name}: checkpoint -> {path}")
             failed = dict(runtime.failed)
             recoveries = len(runtime.recoveries)

@@ -13,7 +13,6 @@ core -> sketch/decay -> windows -> analysis/cli.
 from repro.core.checkpoint import (
     STATE_SCHEMA,
     CheckpointError,
-    load_checkpoint,
     read_checkpoint,
     write_checkpoint,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "detector_names",
     "get_enumerable_spec",
     "get_spec",
-    "load_checkpoint",
     "make_detector",
     "read_checkpoint",
     "register_detector",

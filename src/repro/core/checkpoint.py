@@ -20,8 +20,12 @@ The artifact is a small versioned envelope::
 ``payload`` is a pickle of the detector's state (every detector in the
 registry pickles whole since the hash families became picklable callables
 — see :mod:`repro.hashing.families`).  The envelope stays a plain dict so
-callers can embed it in larger artifacts (the stream checkpoint does) or
-write it to disk via :func:`write_checkpoint` / :func:`read_checkpoint`.
+callers can embed it in larger artifacts (the stream checkpoint does).
+
+:func:`write_checkpoint` / :func:`read_checkpoint` are the one way any
+artifact — detector state or stream checkpoint — reaches disk: an atomic
+write, and a read that turns an empty, truncated, garbled or wrong-schema
+file into :class:`CheckpointError`.
 
 :meth:`repro.core.Detector.save_state` snapshots into this envelope;
 :meth:`repro.core.Detector.load_state` validates the schema *and* the
@@ -31,6 +35,7 @@ Space-Saving raises instead of silently corrupting state.
 
 from __future__ import annotations
 
+import os
 import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -82,28 +87,44 @@ def unpack_state(detector: "Detector", state: object) -> object:
     return pickle.loads(payload)
 
 
-def write_checkpoint(
-    detector: "Detector", path: str | Path
-) -> dict[str, object]:
-    """Snapshot ``detector`` to ``path``; returns the artifact written."""
-    state = detector.save_state()
-    Path(path).write_bytes(
-        pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return state
+def write_checkpoint(path: str | Path, artifact: dict[str, object]) -> None:
+    """Write a checkpoint artifact to ``path`` atomically.
+
+    The pickled bytes go to a temporary file in the same directory, are
+    fsynced, and then replace ``path`` in one ``os.replace``: a crash
+    mid-write leaves the previous file (or none), never a torn one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def read_checkpoint(path: str | Path) -> dict[str, object]:
-    """Read a checkpoint artifact written by :func:`write_checkpoint`."""
-    state = pickle.loads(Path(path).read_bytes())
-    if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
+def read_checkpoint(path: str | Path, schema: str) -> dict[str, object]:
+    """Read a ``schema`` artifact written by :func:`write_checkpoint`.
+
+    Raises :class:`CheckpointError` when the file is empty, truncated or
+    garbled, or holds anything but a ``schema`` artifact; I/O failures
+    propagate as :class:`OSError`.
+    """
+    data = Path(path).read_bytes()
+    try:
+        artifact = pickle.loads(data)
+    except Exception as exc:
+        # The pickle docs promise no closed set of exceptions for damaged
+        # input (EOFError for an empty file, UnpicklingError,
+        # AttributeError, ImportError, IndexError, ...); any of them means
+        # the file is unreadable.
         raise CheckpointError(
-            f"{path} does not hold a {STATE_SCHEMA!r} artifact"
-        )
-    return state
-
-
-def load_checkpoint(detector: "Detector", path: str | Path) -> "Detector":
-    """Restore ``detector`` in place from ``path``; returns it for chaining."""
-    detector.load_state(read_checkpoint(path))
-    return detector
+            "truncated or garbled checkpoint file "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if not isinstance(artifact, dict) or artifact.get("schema") != schema:
+        raise CheckpointError(f"not a {schema!r} artifact")
+    return artifact

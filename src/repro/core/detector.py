@@ -53,7 +53,7 @@ def as_uint64_keys(keys: np.ndarray) -> np.ndarray:
         return keys
     if keys.dtype.kind in "iu":
         return keys.astype(np.uint64)
-    # Object columns (arbitrary-precision Python ints from a key_func).
+    # Object columns (arbitrary-precision Python ints, e.g. negative keys).
     return np.asarray(
         [int(key) & _MASK64 for key in keys.tolist()], dtype=np.uint64
     )

@@ -7,7 +7,7 @@ Bloom Filter and its extension [Bianchi et al. 2011] as a proof of concept."
 This package builds that proof of concept out fully:
 
 - :class:`DecayLaw` implementations (linear — Bianchi's original — and
-  exponential, plus hard sliding expiry);
+  exponential);
 - :class:`TimeDecayingBloomFilter` — synchronous-tick variant;
 - :class:`OnDemandTDBF` — the *on-demand* variant of the cited paper: cells
   carry a timestamp and decay lazily when touched, so there is no
@@ -23,12 +23,7 @@ This package builds that proof of concept out fully:
   This is the algorithm the poster calls for.
 """
 
-from repro.decay.laws import (
-    DecayLaw,
-    ExponentialDecay,
-    LinearDecay,
-    SlidingExpiry,
-)
+from repro.decay.laws import DecayLaw, ExponentialDecay, LinearDecay
 from repro.decay.tdbf import TimeDecayingBloomFilter
 from repro.decay.ondemand_tdbf import OnDemandTDBF
 from repro.decay.decayed_countmin import DecayedCountMin
@@ -41,7 +36,6 @@ __all__ = [
     "DecayLaw",
     "LinearDecay",
     "ExponentialDecay",
-    "SlidingExpiry",
     "TimeDecayingBloomFilter",
     "OnDemandTDBF",
     "DecayedCountMin",

@@ -121,17 +121,6 @@ class ExactDecayedCounts(Detector):
                 out[key] = value
         return out
 
-    def compact(self, now: float, floor: float) -> int:
-        """Drop keys whose decayed value fell below ``floor``; returns how
-        many were dropped.  Call periodically to bound memory in practice."""
-        dead = [
-            key for key, counter in self._counters.items()
-            if counter.read(now) < floor
-        ]
-        for key in dead:
-            del self._counters[key]
-        return len(dead)
-
     def merge(self, other: Detector) -> None:
         """Fold another instance's counters into this one.
 

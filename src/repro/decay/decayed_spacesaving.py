@@ -9,14 +9,14 @@ mirroring classic Space-Saving's overestimate semantics but in continuous
 time.
 
 Counters live in a :class:`repro.core.flat_table.FlatTable` with float64
-``values``/``stamps``/``errors`` columns, so the eviction scan and the
+``values``/``stamps`` columns, so the eviction scan and the
 enumeration path are vectorized.  For value-linear laws (exponential — the
 ``decay_factor`` hook) the batch path is vectorized too: each chunk is
 grouped per key, every contribution decays by its own factor into the
 key's last-touch frame, and one scatter-add lands the whole group.
-Non-linear laws (linear's zero floor, sliding expiry's step), unsorted
-timestamps, and chunks older than the table's newest stamp replay the
-exact scalar path instead.
+The linear law (not value-linear: its zero floor), unsorted timestamps,
+and chunks older than the table's newest stamp replay the exact scalar
+path instead.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class DecayedSpaceSaving(Detector):
         self.law = law
         self._table = FlatTable(
             capacity,
-            {"values": np.float64, "stamps": np.float64, "errors": np.float64},
+            {"values": np.float64, "stamps": np.float64},
         )
 
     def update(self, key: int, weight: float = 1,
@@ -83,7 +83,6 @@ class DecayedSpaceSaving(Detector):
         slot = table.insert(key)
         values[slot] = victim_value + weight
         stamps[slot] = ts
-        table.cols["errors"][slot] = victim_value
 
     def update_batch(self, keys, weights=None, ts=None) -> None:
         """Vectorized chunk update for value-linear laws.
@@ -220,19 +219,6 @@ class DecayedSpaceSaving(Detector):
         if len(table) >= self.capacity:
             return self._min_slot(now)[1]
         return 0.0
-
-    def guaranteed(self, key: int, now: float) -> float:
-        """Lower bound: estimate minus inherited (decayed) error."""
-        key = int(key) & _MASK64
-        table = self._table
-        slot = table.slot_of.get(key, -1)
-        if slot < 0:
-            return 0.0
-        error = self.law.decay(
-            float(table.cols["errors"][slot]),
-            max(0.0, now - float(table.cols["stamps"][slot])),
-        )
-        return self._read(slot, now) - error
 
     def query(self, threshold: float,
               now: float | None = None) -> dict[int, float]:

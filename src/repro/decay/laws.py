@@ -8,16 +8,16 @@ matter to the detectors built on top:
   ("on-demand") application at irregular touch times is exact.
 
 Linear decay (Bianchi et al.'s choice: subtract ``rate * age``) and
-exponential decay both compose; hard sliding expiry composes trivially.
+exponential decay both compose.
 
 Every law also offers :meth:`~DecayLaw.decay_array`, the numpy-vectorized
 form used by the batch-update engine.  Exponential decay additionally
 exposes :meth:`ExponentialDecay.decay_factor`: because the law is *linear in
 the value* (a pure multiplicative factor, no zero floor), batched scatter
 updates can decay each contribution independently and sum them — exactly
-what a sequential per-packet replay would produce.  Laws without that
-property (linear's zero floor, sliding expiry's step) keep the scalar
-fallback in ``update_batch``.
+what a sequential per-packet replay would produce.  The linear law lacks
+that property (its zero floor), so it keeps the scalar fallback in
+``update_batch``.
 """
 
 from __future__ import annotations
@@ -144,37 +144,3 @@ class ExponentialDecay:
 
     def __repr__(self) -> str:
         return f"ExponentialDecay(tau={self.tau:.3f})"
-
-
-class SlidingExpiry:
-    """All-or-nothing: full value within ``window`` seconds, zero after.
-
-    Makes a decayed counter approximate a continuously-sliding window
-    (coarsely: the whole accumulated value expires ``window`` after the
-    *last* touch; exact per-byte expiry needs the bucketed structure in
-    :mod:`repro.decay.sliding_hh`).
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-
-    def decay(self, value: float, age: float) -> float:
-        """Step function at ``window`` seconds."""
-        if age < 0:
-            raise ValueError(f"negative age {age}")
-        return value if age < self.window else 0.0
-
-    def decay_array(self, values: np.ndarray, ages) -> np.ndarray:
-        """Vectorized step function at ``window`` seconds."""
-        values = np.asarray(values, dtype=np.float64)
-        return np.where(np.asarray(ages, dtype=np.float64) < self.window,
-                        values, 0.0)
-
-    def horizon(self) -> float:
-        """Exactly the window."""
-        return self.window
-
-    def __repr__(self) -> str:
-        return f"SlidingExpiry(window={self.window})"

@@ -2,29 +2,21 @@
 
 Python's builtin ``hash`` is salted per process, which would make every
 sketch non-reproducible across runs.  All sketches in :mod:`repro.sketch`
-and :mod:`repro.decay` therefore draw their hash functions from the families
-defined here: 64-bit mixers (splitmix64 / xorshift variants), multiply-shift
-universal hashing, and 4-way tabulation hashing for when stronger
-independence guarantees matter.
+and :mod:`repro.decay` therefore draw their hash functions from the family
+defined here: multiply-shift universal hashing, seeded by the splitmix64
+mixer.
 """
 
-from repro.hashing.mixers import splitmix64, xorshift64star, fibonacci_hash
+from repro.hashing.mixers import splitmix64
 from repro.hashing.families import (
     HashFamily,
     MultiplyShiftFamily,
-    MixerFamily,
     pairwise_indep_family,
 )
-from repro.hashing.tabulation import TabulationHash, TabulationFamily
 
 __all__ = [
     "splitmix64",
-    "xorshift64star",
-    "fibonacci_hash",
     "HashFamily",
     "MultiplyShiftFamily",
-    "MixerFamily",
     "pairwise_indep_family",
-    "TabulationHash",
-    "TabulationFamily",
 ]

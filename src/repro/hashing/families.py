@@ -24,7 +24,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.hashing.mixers import splitmix64, splitmix64_array
+from repro.hashing.mixers import splitmix64
 
 _MASK64 = (1 << 64) - 1
 
@@ -194,73 +194,6 @@ class _AffineSignArray(_ParamHashBase):
         return np.where(odd.astype(bool), 1, -1).astype(np.int64)
 
 
-class _MixerSlot(_ParamHashBase):
-    """Scalar ``splitmix64(key ^ salt) % m`` (picklable)."""
-
-    __slots__ = ("salt", "m")
-
-    def __init__(self, salt: int, m: int) -> None:
-        self.salt, self.m = salt, m
-
-    def __call__(self, key: int) -> int:
-        return splitmix64(key ^ self.salt) % self.m
-
-
-class _MixerSign(_ParamHashBase):
-    """Scalar mixer-based +/-1 function (picklable)."""
-
-    __slots__ = ("salt",)
-
-    def __init__(self, salt: int) -> None:
-        self.salt = salt
-
-    def __call__(self, key: int) -> int:
-        return 1 if splitmix64(key ^ self.salt) & 1 else -1
-
-
-class _MixerSlotArray(_ParamHashBase):
-    """Vectorized twin of :class:`_MixerSlot` (bit-exact, picklable)."""
-
-    __slots__ = ("salt", "m")
-
-    def __init__(self, salt: int, m: int) -> None:
-        self.salt = np.uint64(salt)
-        self.m = np.uint64(m)
-
-    def __getstate__(self):
-        return (int(self.salt), int(self.m))
-
-    def __setstate__(self, state) -> None:
-        salt, m = state
-        self.salt = np.uint64(salt)
-        self.m = np.uint64(m)
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        mixed = splitmix64_array(np.asarray(keys, dtype=np.uint64) ^ self.salt)
-        return mixed % self.m
-
-
-class _MixerSignArray(_ParamHashBase):
-    """Vectorized twin of :class:`_MixerSign` (bit-exact, picklable)."""
-
-    __slots__ = ("salt",)
-
-    def __init__(self, salt: int) -> None:
-        self.salt = np.uint64(salt)
-
-    def __getstate__(self):
-        return int(self.salt)
-
-    def __setstate__(self, state) -> None:
-        self.salt = np.uint64(state)
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        mixed = splitmix64_array(np.asarray(keys, dtype=np.uint64) ^ self.salt)
-        return np.where((mixed & np.uint64(1)).astype(bool), 1, -1).astype(
-            np.int64
-        )
-
-
 class HashFamily(Protocol):
     """Protocol for seeded hash families used by sketches."""
 
@@ -326,42 +259,6 @@ class MultiplyShiftFamily:
         """Vectorized +/-1 function (bit-exact with scalar)."""
         a, b = self._params(index ^ 0x5A5A5A5A)
         return _AffineSignArray(a, b)
-
-
-class MixerFamily:
-    """Hash family built from the splitmix64 mixer.
-
-    Faster than :class:`MultiplyShiftFamily` in CPython (no modulo by a big
-    prime) and empirically well distributed; has no formal universality
-    guarantee, which is why sketches accept the family as a parameter.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def function(self, index: int, range_size: int) -> HashFunc:
-        """Mixer-based function into ``[0, range_size)``."""
-        if range_size <= 0:
-            raise ValueError(f"range_size must be positive, got {range_size}")
-        salt = splitmix64((self.seed << 8) ^ (index * 0x9E37 + 0x79B9))
-        return _MixerSlot(salt, range_size)
-
-    def sign_function(self, index: int) -> HashFunc:
-        """Mixer-based +/-1 function."""
-        salt = splitmix64((self.seed << 8) ^ (index * 0x85EB + 0xCA6B))
-        return _MixerSign(salt)
-
-    def function_array(self, index: int, range_size: int) -> ArrayHashFunc:
-        """Vectorized mixer-based function (bit-exact with scalar)."""
-        if range_size <= 0:
-            raise ValueError(f"range_size must be positive, got {range_size}")
-        salt = splitmix64((self.seed << 8) ^ (index * 0x9E37 + 0x79B9))
-        return _MixerSlotArray(salt, range_size)
-
-    def sign_array(self, index: int) -> ArrayHashFunc:
-        """Vectorized mixer-based +/-1 function (bit-exact with scalar)."""
-        salt = splitmix64((self.seed << 8) ^ (index * 0x85EB + 0xCA6B))
-        return _MixerSignArray(salt)
 
 
 def pairwise_indep_family(seed: int = 0) -> MultiplyShiftFamily:

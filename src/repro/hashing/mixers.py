@@ -1,9 +1,9 @@
-"""64-bit integer mixing functions.
+"""The splitmix64 64-bit integer mixer.
 
-These are the standard public-domain finalisers (splitmix64, xorshift64*)
-restricted to 64-bit arithmetic with explicit masking.  They are used both
-directly (as fast stateless hashes of integer keys) and as the seed expanders
-for the hash families in :mod:`repro.hashing.families`.
+The standard public-domain finaliser, restricted to 64-bit arithmetic with
+explicit masking.  It is used both directly (as a fast stateless hash of
+integer keys) and as the seed expander for the hash families in
+:mod:`repro.hashing.families`.
 
 :func:`splitmix64_array` is the numpy counterpart of :func:`splitmix64` for
 the vectorized batch-update paths; it is bit-exact with the scalar mixer
@@ -55,23 +55,3 @@ def splitmix64_array(values: np.ndarray) -> np.ndarray:
     for i in range(0, n, _BLOCK):
         out[i:i + _BLOCK] = _splitmix64_block(values[i:i + _BLOCK])
     return out
-
-
-def xorshift64star(value: int) -> int:
-    """xorshift64* mixer; weaker than splitmix64 but cheaper.
-
-    Maps 0 to 0 (the xorshift core fixes 0), so callers hashing possibly-zero
-    keys should offset them first.
-    """
-    x = value & _MASK64
-    x ^= x >> 12
-    x ^= (x << 25) & _MASK64
-    x ^= x >> 27
-    return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-
-def fibonacci_hash(value: int, bits: int) -> int:
-    """Fibonacci (golden-ratio) hashing of ``value`` into ``bits`` bits."""
-    if not 0 < bits <= 64:
-        raise ValueError(f"bits must be in 1..64, got {bits}")
-    return ((value * _FIB_MULT) & _MASK64) >> (64 - bits)

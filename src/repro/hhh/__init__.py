@@ -14,20 +14,14 @@ approximate streaming detectors live in :mod:`repro.sketch` and
 :mod:`repro.decay`.
 """
 
-from repro.hhh.exact_hh import exact_heavy_hitters, heavy_hitter_prefixes
+from repro.hhh.exact_hh import exact_heavy_hitters
 from repro.hhh.exact_hhh import ExactHHH, HHHResult, HHHItem
 from repro.hhh.trie import PrefixTrie
-from repro.hhh.hhh2d import ExactHHH2D, HHH2DItem
-from repro.hhh.ground_truth import window_ground_truth
 
 __all__ = [
     "exact_heavy_hitters",
-    "heavy_hitter_prefixes",
     "ExactHHH",
     "HHHResult",
     "HHHItem",
     "PrefixTrie",
-    "ExactHHH2D",
-    "HHH2DItem",
-    "window_ground_truth",
 ]

@@ -3,17 +3,12 @@
 The paper: "[HH detection] seeks to find an IP prefix p which contributes
 with a traffic volume larger than a given threshold T during a fixed time
 interval t."  At the leaf level this is a simple filter over aggregated
-counts; :func:`heavy_hitter_prefixes` additionally reports the *undiscounted*
-heavy prefixes at every hierarchy level, which is the non-hierarchical
-baseline HHH detectors are compared against.
+counts.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
-
-from repro.hierarchy.domain import SourceHierarchy
-from repro.net.prefix import Prefix
 
 
 def exact_heavy_hitters(
@@ -27,33 +22,3 @@ def exact_heavy_hitters(
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     return {k: c for k, c in counts.items() if c >= threshold}
-
-
-def heavy_hitter_prefixes(
-    counts: Mapping[int, int],
-    threshold: float,
-    hierarchy: SourceHierarchy | None = None,
-) -> dict[Prefix, int]:
-    """Heavy prefixes at every level, *without* hierarchical discounting.
-
-    A prefix qualifies when the plain sum of its descendants' counts meets
-    the threshold.  The result of HHH detection is always a subset of these
-    prefixes; the difference is exactly the mass double-counted by
-    non-hierarchical aggregation.
-    """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    hierarchy = hierarchy or SourceHierarchy()
-    result: dict[Prefix, int] = {}
-    level_counts: dict[int, int] = dict(counts)
-    for level in range(hierarchy.num_levels):
-        if level > 0:
-            rolled: dict[int, int] = {}
-            for value, count in level_counts.items():
-                parent = hierarchy.generalize(value, level)
-                rolled[parent] = rolled.get(parent, 0) + count
-            level_counts = rolled
-        for value, count in level_counts.items():
-            if count >= threshold:
-                result[hierarchy.prefix_at(value, level)] = count
-    return result

@@ -12,12 +12,9 @@ from repro.hierarchy.domain import (
     BYTE_LENGTHS,
     SourceHierarchy,
 )
-from repro.hierarchy.lattice import TwoDHierarchy, LatticeNode
 
 __all__ = [
     "SourceHierarchy",
     "BYTE_LENGTHS",
     "BIT_LENGTHS",
-    "TwoDHierarchy",
-    "LatticeNode",
 ]

@@ -2,22 +2,14 @@
 
 Everything in this package works on plain integers under the hood so that the
 hot paths (hierarchy generalisation, trie keys) never allocate objects.
-:class:`IPv4Address` and :class:`Prefix` are thin, immutable, hashable
-wrappers for the public API and for readable test assertions.
+:class:`Prefix` is a thin, immutable, hashable wrapper for results and for
+readable test assertions.
 """
 
-from repro.net.ipv4 import (
-    IPV4_BITS,
-    IPV4_MAX,
-    IPv4Address,
-    format_ipv4,
-    parse_ipv4,
-)
+from repro.net.ipv4 import IPV4_BITS, IPV4_MAX, format_ipv4
 from repro.net.prefix import (
     Prefix,
-    common_prefix_length,
     mask_for_length,
-    parse_prefix,
     prefix_contains,
     truncate,
 )
@@ -26,13 +18,9 @@ from repro.net.random_net import RandomAddressSpace
 __all__ = [
     "IPV4_BITS",
     "IPV4_MAX",
-    "IPv4Address",
     "format_ipv4",
-    "parse_ipv4",
     "Prefix",
-    "common_prefix_length",
     "mask_for_length",
-    "parse_prefix",
     "prefix_contains",
     "truncate",
     "RandomAddressSpace",

@@ -1,42 +1,16 @@
 """IPv4 addresses as integers.
 
 The library stores addresses as unsigned 32-bit integers everywhere; this
-module provides parsing, formatting and a small immutable wrapper class used
-at API boundaries.  We deliberately do not use :mod:`ipaddress` in hot paths:
-the exact-HHH trie and the trace generator touch millions of addresses and an
-int is an order of magnitude cheaper than an ``IPv4Address`` instance from
-the standard library.
+module provides the address-width constants and dotted-quad formatting.  We
+deliberately do not use :mod:`ipaddress` in hot paths: the exact-HHH trie
+and the trace generator touch millions of addresses and an int is an order
+of magnitude cheaper than a standard-library address object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 IPV4_BITS = 32
 IPV4_MAX = (1 << IPV4_BITS) - 1
-
-
-def parse_ipv4(text: str) -> int:
-    """Parse dotted-quad notation into an unsigned 32-bit integer.
-
-    >>> parse_ipv4("10.0.0.1")
-    167772161
-
-    Raises :class:`ValueError` for anything that is not exactly four octets
-    in range 0..255.
-    """
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted quad: {text!r}")
-    value = 0
-    for part in parts:
-        if not part or not part.isdigit():
-            raise ValueError(f"bad octet {part!r} in {text!r}")
-        octet = int(part)
-        if octet > 255:
-            raise ValueError(f"octet {octet} out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
 
 
 def format_ipv4(value: int) -> str:
@@ -50,43 +24,3 @@ def format_ipv4(value: int) -> str:
     return ".".join(
         str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class IPv4Address:
-    """An immutable IPv4 address.
-
-    Wraps the integer representation used internally; compares and hashes by
-    value, so it is safe as a dict key and in sets.
-    """
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= IPV4_MAX:
-            raise ValueError(f"not a 32-bit address value: {self.value}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "IPv4Address":
-        """Build an address from dotted-quad notation."""
-        return cls(parse_ipv4(text))
-
-    @classmethod
-    def from_octets(cls, a: int, b: int, c: int, d: int) -> "IPv4Address":
-        """Build an address from four octets."""
-        for octet in (a, b, c, d):
-            if not 0 <= octet <= 255:
-                raise ValueError(f"octet {octet} out of range")
-        return cls((a << 24) | (b << 16) | (c << 8) | d)
-
-    @property
-    def octets(self) -> tuple[int, int, int, int]:
-        """The four octets, most significant first."""
-        v = self.value
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
-
-    def __str__(self) -> str:
-        return format_ipv4(self.value)
-
-    def __int__(self) -> int:
-        return self.value

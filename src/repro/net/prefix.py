@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.ipv4 import IPV4_BITS, IPV4_MAX, format_ipv4, parse_ipv4
+from repro.net.ipv4 import IPV4_BITS, IPV4_MAX, format_ipv4
 
 
 def mask_for_length(length: int) -> int:
@@ -34,36 +34,6 @@ def truncate(value: int, length: int) -> int:
 def prefix_contains(p_value: int, p_length: int, address: int) -> bool:
     """True when ``address`` falls inside prefix ``(p_value, p_length)``."""
     return truncate(address, p_length) == p_value
-
-
-def common_prefix_length(a: int, b: int) -> int:
-    """Length of the longest common prefix of two 32-bit addresses.
-
-    >>> common_prefix_length(0x0A000000, 0x0A000001)
-    31
-    """
-    diff = a ^ b
-    if diff == 0:
-        return IPV4_BITS
-    return IPV4_BITS - diff.bit_length()
-
-
-def parse_prefix(text: str) -> "Prefix":
-    """Parse ``"a.b.c.d/len"`` notation; a bare address means ``/32``."""
-    if "/" in text:
-        addr_text, _, len_text = text.partition("/")
-        if not len_text.isdigit():
-            raise ValueError(f"bad prefix length in {text!r}")
-        length = int(len_text)
-    else:
-        addr_text, length = text, IPV4_BITS
-    value = parse_ipv4(addr_text)
-    if not 0 <= length <= IPV4_BITS:
-        raise ValueError(f"prefix length {length} out of range in {text!r}")
-    masked = truncate(value, length)
-    if masked != value:
-        raise ValueError(f"host bits set in {text!r}")
-    return Prefix(masked, length)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -91,11 +61,6 @@ class Prefix:
     def from_address(cls, address: int, length: int) -> "Prefix":
         """The length-``length`` prefix containing ``address``."""
         return cls(truncate(address, length), length)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Prefix":
-        """Parse CIDR notation (see :func:`parse_prefix`)."""
-        return parse_prefix(text)
 
     @property
     def mask(self) -> int:

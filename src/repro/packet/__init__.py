@@ -1,4 +1,4 @@
-"""Packet records, flow keys and pcap I/O.
+"""Packet records and pcap I/O.
 
 The unit the whole library streams over is :class:`Packet`: a timestamped
 5-tuple plus a byte count.  Traces are plain sequences (or iterators) of
@@ -8,7 +8,6 @@ real captures can be fed to the experiments.
 """
 
 from repro.packet.model import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
-from repro.packet.flowkey import FlowKey, five_tuple_key, source_key
 from repro.packet.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
 
 __all__ = [
@@ -16,9 +15,6 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "PROTO_ICMP",
-    "FlowKey",
-    "five_tuple_key",
-    "source_key",
     "PcapReader",
     "PcapWriter",
     "read_pcap",

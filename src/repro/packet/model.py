@@ -2,8 +2,8 @@
 
 A :class:`Packet` is deliberately minimal: the experiments in the paper need
 only a timestamp, a source address and a byte count (one-dimensional HHH over
-source IPs, weighted by bytes), but we carry the full 5-tuple so the same
-traces can drive 2D hierarchies and flow-level tooling.
+source IPs, weighted by bytes), but we carry the full 5-tuple so traces
+round-trip through pcap files and can be keyed by destination as well.
 """
 
 from __future__ import annotations

@@ -10,33 +10,11 @@ The bit array is packed numpy uint8, so batch insertion is a vectorized
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.detector import Detector, as_batch, as_uint64_keys
 from repro.core.registry import register_detector
 from repro.hashing.families import HashFamily, pairwise_indep_family
-
-
-def optimal_parameters(
-    expected_items: int, false_positive_rate: float
-) -> tuple[int, int]:
-    """Optimal (bits, hashes) for a target false-positive rate.
-
-    >>> bits, hashes = optimal_parameters(1000, 0.01)
-    >>> bits > 9000 and hashes == 7
-    True
-    """
-    if expected_items < 1:
-        raise ValueError("expected_items must be >= 1")
-    if not 0.0 < false_positive_rate < 1.0:
-        raise ValueError("false_positive_rate must be in (0, 1)")
-    bits = math.ceil(
-        -expected_items * math.log(false_positive_rate) / (math.log(2) ** 2)
-    )
-    hashes = max(1, round(bits / expected_items * math.log(2)))
-    return bits, hashes
 
 
 class BloomFilter(Detector):
@@ -57,17 +35,6 @@ class BloomFilter(Detector):
         self._vfuncs = [family.function_array(i, bits) for i in range(hashes)]
         self._array = np.zeros((bits + 7) // 8, dtype=np.uint8)
         self.inserted = 0
-
-    @classmethod
-    def for_capacity(
-        cls,
-        expected_items: int,
-        false_positive_rate: float = 0.01,
-        family: HashFamily | None = None,
-    ) -> "BloomFilter":
-        """A filter sized for ``expected_items`` at the target FP rate."""
-        bits, hashes = optimal_parameters(expected_items, false_positive_rate)
-        return cls(bits, hashes, family)
 
     def add(self, key: int) -> None:
         """Insert ``key``."""
@@ -119,19 +86,6 @@ class BloomFilter(Detector):
             )
         np.bitwise_or(self._array, other._array, out=self._array)
         self.inserted += other.inserted
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set (saturation indicator)."""
-        return int(np.unpackbits(self._array).sum()) / self.bits
-
-    def expected_false_positive_rate(self) -> float:
-        """FP probability implied by the current fill ratio."""
-        return self.fill_ratio() ** self.hashes
-
-    @property
-    def size_bytes(self) -> int:
-        """Memory footprint of the bit array."""
-        return int(self._array.nbytes)
 
     @property
     def num_counters(self) -> int:

@@ -7,9 +7,6 @@ error at most ``e * N / width`` with probability ``1 - e^-rows``.
 The counter table is a numpy ``(rows, width)`` int64 array, so
 ``update_batch`` is a true vectorized fast path: one array hash per row and
 one ``np.add.at`` scatter for a whole columnar batch of packets.
-Conservative update is inherently sequential (each packet's write depends
-on the estimate after the previous one), so that variant keeps the exact
-scalar replay.
 
 A plain Count-Min cannot *enumerate* heavy keys, so
 :class:`CountMinHeavyHitters` pairs it with a candidate map of keys whose
@@ -42,13 +39,11 @@ class CountMinSketch(Detector):
         width: int = 1024,
         rows: int = 4,
         family: HashFamily | None = None,
-        conservative: bool = False,
     ) -> None:
         if width < 1 or rows < 1:
             raise ValueError(f"need width, rows >= 1; got {width}x{rows}")
         self.width = width
         self.rows = rows
-        self.conservative = conservative
         family = family or pairwise_indep_family()
         self._hashes = [family.function(r, width) for r in range(rows)]
         self._vhashes = [family.function_array(r, width) for r in range(rows)]
@@ -60,22 +55,11 @@ class CountMinSketch(Detector):
         if weight < 0:
             raise ValueError(f"negative weight {weight}")
         self.total += weight
-        if self.conservative:
-            # Conservative update: raise only the minimal counters.
-            cells = [(row, h(key)) for row, h in zip(self._table, self._hashes)]
-            new_estimate = min(int(row[i]) for row, i in cells) + weight
-            for row, i in cells:
-                if row[i] < new_estimate:
-                    row[i] = new_estimate
-        else:
-            for row, h in zip(self._table, self._hashes):
-                row[h(key)] += weight
+        for row, h in zip(self._table, self._hashes):
+            row[h(key)] += weight
 
     def update_batch(self, keys, weights=None, ts=None) -> None:
-        """Vectorized scatter update (scalar replay when conservative)."""
-        if self.conservative:
-            super().update_batch(keys, weights, ts)
-            return
+        """Vectorized scatter update."""
         keys, weights, _ = as_batch(keys, weights, ts)
         keys = as_uint64_keys(keys)
         weights = ensure_nonnegative_weights(weights)
@@ -135,11 +119,10 @@ class CountMinHeavyHitters(Detector):
         rows: int = 4,
         track_phi: float = 0.001,
         family: HashFamily | None = None,
-        conservative: bool = False,
     ) -> None:
         if not 0.0 < track_phi < 1.0:
             raise ValueError(f"track_phi must be in (0, 1), got {track_phi}")
-        self.sketch = CountMinSketch(width, rows, family, conservative)
+        self.sketch = CountMinSketch(width, rows, family)
         self.track_phi = track_phi
         self._candidates: dict[int, int] = {}
 
@@ -170,9 +153,6 @@ class CountMinHeavyHitters(Detector):
 
     def update_batch(self, keys, weights=None, ts=None) -> None:
         """Vectorized chunk update via simulated per-packet estimates."""
-        if self.sketch.conservative:
-            super().update_batch(keys, weights, ts)
-            return
         keys, weights, _ = as_batch(keys, weights, ts)
         n = keys.shape[0]
         if n == 0:

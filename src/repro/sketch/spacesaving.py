@@ -132,15 +132,6 @@ class SpaceSaving(Detector):
             return float(table.cols["counts"][slot])
         return self._min_count() if len(table) >= self.capacity else 0
 
-    def guaranteed(self, key: int) -> float:
-        """Lower bound on ``key``'s true count (estimate minus error)."""
-        key = int(key) & _MASK64
-        table = self._table
-        slot = table.slot_of.get(key, -1)
-        if slot >= 0:
-            return float(table.cols["counts"][slot] - table.cols["errors"][slot])
-        return 0
-
     def _min_count(self) -> float:
         table = self._table
         if not len(table):

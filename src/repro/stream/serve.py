@@ -43,8 +43,7 @@ The runtime is churn-tolerant and supervised:
   are suppressed during replay, so the emission stream the consumer sees
   is bit-identical to an uninterrupted run.  Tenants with no recoverable
   checkpoint are retired into :attr:`failed` instead of killing the
-  pool.  With an *injected* pool shared by several runtimes, recovery
-  only rebuilds this runtime's tenants.
+  pool.
 
 * **Rebalance** — :meth:`rebalance` checkpoints a tenant, retires it
   here, and resumes it on a new worker layout (same or another runtime
@@ -120,15 +119,12 @@ class ServeRuntime:
 
     Parameters
     ----------
-    workers, shards, slots:
+    workers, shards:
         Pool shape (see :class:`repro.engine.ServePool`); ``shards``
-        defaults to ``workers``.  Ignored when ``pool`` is injected.
+        defaults to ``workers``.
     chunk_size:
         Packets per stream chunk, and the pool's slot capacity — the two
         are deliberately one knob (see the module docstring).
-    pool:
-        An existing pool to multiplex onto instead of owning one; the
-        caller keeps responsibility for closing it.
     recover:
         Supervise worker crashes (the default): respawn dead workers and
         rebuild tenants from their last ``checkpoint_every`` checkpoint,
@@ -156,23 +152,12 @@ class ServeRuntime:
         workers: int = 1,
         shards: int | None = None,
         chunk_size: int = 8192,
-        slots: int = 4,
-        pool: ServePool | None = None,
         recover: bool = True,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if pool is not None and pool.chunk_capacity < chunk_size:
-            raise ServeError(
-                f"injected pool slots hold {pool.chunk_capacity} packets; "
-                f"chunk_size {chunk_size} would split chunks and change "
-                "batch boundaries vs the serial pipeline"
-            )
         self.chunk_size = chunk_size
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else ServePool(
-            workers, shards, chunk_capacity=chunk_size, slots=slots
-        )
+        self.pool = ServePool(workers, shards, chunk_capacity=chunk_size)
         self.recover = recover
         self._tenants: dict[str, _TenantRun] = {}
         #: Tenant failures observed so far: name -> error message.
@@ -579,19 +564,11 @@ class ServeRuntime:
             raise ServeError("serve runtime is closed")
 
     def close(self) -> None:
-        """Release the pool (if owned) or just this runtime's tenants."""
+        """Release the pool."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_pool:
-            self.pool.close()
-        else:
-            for name in list(self._tenants):
-                if name not in self.failed:
-                    try:
-                        self.pool.close_tenant(name)
-                    except (ServeError, TenantError):  # pragma: no cover
-                        pass
+        self.pool.close()
 
     def __enter__(self) -> "ServeRuntime":
         return self

@@ -45,7 +45,7 @@ from repro.trace.spec import (
     trace_cache_keys,
 )
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.ops import concat_traces, shift_trace, slice_time, thin_trace
+from repro.trace.ops import concat_traces, shift_trace, slice_time
 
 __all__ = [
     "Trace",
@@ -74,5 +74,4 @@ __all__ = [
     "concat_traces",
     "shift_trace",
     "slice_time",
-    "thin_trace",
 ]

@@ -1,4 +1,4 @@
-"""Trace transformations: slicing, shifting, concatenation, thinning."""
+"""Trace transformations: slicing, shifting, concatenation."""
 
 from __future__ import annotations
 
@@ -40,23 +40,4 @@ def concat_traces(traces: Sequence[Trace]) -> Trace:
         np.concatenate([t.sport for t in parts])[order],
         np.concatenate([t.dport for t in parts])[order],
         np.concatenate([t.proto for t in parts])[order],
-    )
-
-
-def thin_trace(trace: Trace, keep_fraction: float, seed: int = 0) -> Trace:
-    """Independently keep each packet with probability ``keep_fraction``.
-
-    Models uniform packet sampling (as deployed in routers via sFlow-style
-    sampling); used by ablations to check how sampling interacts with the
-    hidden-HHH effect.
-    """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    if keep_fraction == 1.0 or len(trace) == 0:
-        return trace
-    rng = np.random.default_rng(seed)
-    mask = rng.random(len(trace)) < keep_fraction
-    return Trace(
-        trace.ts[mask], trace.src[mask], trace.dst[mask], trace.length[mask],
-        trace.sport[mask], trace.dport[mask], trace.proto[mask],
     )

@@ -21,8 +21,6 @@ longer (the generator is O(packets)).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.trace.config import (
@@ -334,16 +332,6 @@ def drift_trace(
         spliced.append(shift_trace(phase, clock - phase.start_time))
         clock = spliced[-1].end_time + gap
     return concat_traces(spliced)
-
-
-def scaled_config(
-    base: SyntheticTraceConfig, rate_scale: float
-) -> SyntheticTraceConfig:
-    """``base`` with the aggregate packet rate scaled by ``rate_scale``."""
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    new_rate = replace(base.rate, base_rate=base.rate.base_rate * rate_scale)
-    return replace(base, rate=new_rate)
 
 
 def _pcap_trace(path: str) -> Trace:

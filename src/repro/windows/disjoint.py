@@ -18,16 +18,14 @@ class DisjointWindows:
     """Back-to-back windows of fixed ``size`` seconds.
 
     Iterating over ``(trace)`` or ``(start, end)`` yields the window
-    schedule; a trailing partial window is included only when
-    ``include_partial`` is set (off by default: partial windows have a
+    schedule; a trailing partial window is dropped (partial windows have a
     different effective threshold and the paper's methodology drops them).
     """
 
-    def __init__(self, size: float, include_partial: bool = False) -> None:
+    def __init__(self, size: float) -> None:
         if size <= 0:
             raise ValueError(f"window size must be positive, got {size}")
         self.size = size
-        self.include_partial = include_partial
 
     def over_span(self, start: float, end: float) -> Iterator[Window]:
         """The schedule covering [start, end)."""
@@ -38,22 +36,12 @@ class DisjointWindows:
             yield Window(t0, t0 + self.size, index)
             t0 += self.size
             index += 1
-        if self.include_partial and t0 < end:
-            yield Window(t0, end, index)
 
     def over_trace(self, trace: Trace) -> Iterator[Window]:
         """The schedule covering the trace's time span."""
         if len(trace) == 0:
             return iter(())
         return self.over_span(trace.start_time, trace.end_time)
-
-    def window_of(self, ts: float, start: float = 0.0) -> Window:
-        """The disjoint window containing timestamp ``ts``."""
-        if ts < start:
-            raise ValueError(f"timestamp {ts} precedes schedule start {start}")
-        index = int((ts - start) // self.size)
-        t0 = start + index * self.size
-        return Window(t0, t0 + self.size, index)
 
     def __repr__(self) -> str:
         return f"DisjointWindows(size={self.size})"

@@ -34,7 +34,6 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from repro.packet.model import Packet
 from repro.trace.container import Trace
 from repro.windows.schedule import Window, edge_schedule
 
@@ -121,12 +120,8 @@ class WindowedDetectorDriver:
         Zero-argument callable building a fresh detector (called once per
         window — the reset).
     window_size:
-        Disjoint window length in seconds.
-    key_func:
-        Packet -> integer key.  ``None`` (the default) keys by the source
-        address straight from the trace's ``src`` column, which keeps the
-        whole window on the vectorized path; a custom callable forces
-        per-packet key extraction.
+        Disjoint window length in seconds.  Packets are keyed by source
+        address, straight from the trace's ``src`` column.
     phi:
         Relative threshold: each window's report uses
         ``phi * window_bytes`` as the absolute threshold, matching the
@@ -140,7 +135,6 @@ class WindowedDetectorDriver:
         self,
         detector_factory: Callable[[], StreamingDetector],
         window_size: float,
-        key_func: Callable[[Packet], int] | None = None,
         phi: float = 0.05,
         emit_partial: bool = False,
     ) -> None:
@@ -150,7 +144,6 @@ class WindowedDetectorDriver:
             raise ValueError(f"phi must be in (0, 1], got {phi}")
         self.detector_factory = detector_factory
         self.window_size = window_size
-        self.key_func = key_func
         self.phi = phi
         self.emit_partial = emit_partial
 
@@ -163,19 +156,6 @@ class WindowedDetectorDriver:
         instead of recomputing ``searchsorted`` per window.
         """
         return window_slices(trace, self.window_size, self.emit_partial)
-
-    def _window_keys(self, trace: Trace, i: int, j: int) -> np.ndarray:
-        """Keys of packets [i, j): the raw column or key_func extraction.
-
-        ``np.asarray`` picks the dtype, so key funcs returning negative or
-        arbitrarily large ints survive (object columns are canonicalised
-        by the vectorized hashing layer).
-        """
-        if self.key_func is None:
-            return trace.src[i:j]
-        return np.asarray(
-            [self.key_func(trace.packet_at(p)) for p in range(i, j)]
-        )
 
     def run(self, trace: Trace) -> Iterator[tuple[Window, dict[int, float]]]:
         """Yield ``(window, report)`` for each reported window of the trace.
@@ -193,7 +173,7 @@ class WindowedDetectorDriver:
         self, detector: StreamingDetector, trace: Trace, i: int, j: int
     ) -> None:
         """Hand packets [i, j) to the detector, batched when supported."""
-        keys = self._window_keys(trace, i, j)
+        keys = trace.src[i:j]
         weights = trace.length[i:j]
         update_batch = getattr(detector, "update_batch", None)
         if update_batch is not None:

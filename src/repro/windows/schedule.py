@@ -58,18 +58,18 @@ def edge_iter(start: float, size: float) -> Iterator[float]:
 
 
 def edge_schedule(
-    start: float, end: float, size: float, include_partial: bool = False
+    start: float, end: float, size: float, emit_partial: bool = False
 ) -> list[float]:
     """Right edges of the complete windows covering ``[start, end]``.
 
     A window is *complete* once the span extends to its right edge; with
-    ``include_partial`` the first edge past ``end`` (the trailing partial
+    ``emit_partial`` the first edge past ``end`` (the trailing partial
     window) is appended too.
     """
     edges: list[float] = []
     for edge in edge_iter(start, size):
         if end < edge:
-            if include_partial:
+            if emit_partial:
                 edges.append(edge)
             break
         edges.append(edge)

@@ -46,21 +46,5 @@ class SlidingWindows:
             return iter(())
         return self.over_span(trace.start_time, trace.end_time)
 
-    def windows_covering(self, ts: float, start: float = 0.0) -> list[Window]:
-        """All sliding windows whose span contains timestamp ``ts``."""
-        if ts < start:
-            return []
-        first = max(0, int((ts - start - self.size) // self.step) + 1)
-        out = []
-        index = first
-        while True:
-            t0 = start + index * self.step
-            if t0 > ts:
-                break
-            if ts < t0 + self.size:
-                out.append(Window(t0, t0 + self.size, index))
-            index += 1
-        return out
-
     def __repr__(self) -> str:
         return f"SlidingWindows(size={self.size}, step={self.step})"

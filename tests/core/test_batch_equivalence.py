@@ -206,7 +206,7 @@ def test_countmin_float_weights_match_scalar():
              "ondemand-tdbf", "spacesaving"]
 )
 def test_negative_and_huge_keys_match_scalar(name):
-    """Keys outside [0, 2^32) — e.g. a key_func built on Python's hash() —
+    """Keys outside [0, 2^32) — e.g. keys built on Python's hash() —
     must land in the same cells on both paths (scalar hashing reduces mod
     2^64, matching the vectorized uint64 wrap)."""
     spec = get_spec(name)

@@ -11,8 +11,12 @@ newly-registered detector is held to the contract automatically:
   identical batch boundaries, so float trajectories match exactly);
 - the artifact is a deep snapshot: updating the live detector after
   saving must not leak into the checkpoint;
-- mismatched detector classes and malformed envelopes are rejected.
+- mismatched detector classes and malformed envelopes are rejected;
+- checkpoint files are written atomically, and empty, truncated, garbled
+  or wrong-schema files raise ``CheckpointError``.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from repro.core import (
     STATE_SCHEMA,
     detector_names,
     get_spec,
-    load_checkpoint,
+    read_checkpoint,
     write_checkpoint,
 )
 from repro.engine import ShardedDetector
@@ -149,9 +153,43 @@ def test_file_round_trip(tmp_path, stream):
     detector = spec.factory()
     _feed(detector, spec, keys, weights, ts)
     path = tmp_path / "detector.ckpt"
-    write_checkpoint(detector, path)
-    restored = load_checkpoint(spec.factory(), path)
+    write_checkpoint(path, detector.save_state())
+    restored = spec.factory()
+    restored.load_state(read_checkpoint(path, STATE_SCHEMA))
     _assert_same_outputs(spec, detector, restored, keys, ts, "file")
+    assert [p.name for p in tmp_path.iterdir()] == ["detector.ckpt"]
+
+
+@pytest.mark.parametrize("cut", ["empty", "10-bytes", "half"])
+def test_damaged_checkpoint_file_raises_checkpoint_error(tmp_path, cut):
+    """Empty, truncated and half-written files are CheckpointErrors, not
+    whatever exception the unpickler happens to hit."""
+    path = tmp_path / "detector.ckpt"
+    write_checkpoint(path, get_spec("countmin-hh").factory().save_state())
+    data = path.read_bytes()
+    keep = {"empty": 0, "10-bytes": 10, "half": len(data) // 2}[cut]
+    path.write_bytes(data[:keep])
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path, STATE_SCHEMA)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "detector.ckpt"
+    write_checkpoint(path, {"schema": STATE_SCHEMA})
+    before = path.read_bytes()
+    # A local lambda cannot be pickled (AttributeError or PicklingError,
+    # depending on the Python version).
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        write_checkpoint(path, {"schema": STATE_SCHEMA, "bad": lambda: 0})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["detector.ckpt"]
+
+
+def test_checkpoint_file_schema_is_checked(tmp_path):
+    path = tmp_path / "detector.ckpt"
+    write_checkpoint(path, {"schema": "bogus/v9"})
+    with pytest.raises(CheckpointError, match="detector-state"):
+        read_checkpoint(path, STATE_SCHEMA)
 
 
 @pytest.mark.parametrize(

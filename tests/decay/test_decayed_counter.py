@@ -55,16 +55,6 @@ class TestExactDecayedCounts:
         d = ExactDecayedCounts(LinearDecay(1.0))
         assert d.estimate(9, now=1.0) == 0.0
 
-    def test_compact_drops_dead_keys(self):
-        d = ExactDecayedCounts(LinearDecay(rate=10.0))
-        for key in range(10):
-            d.update(key, 5.0, ts=0.0)
-        d.update(99, 1000.0, ts=0.0)
-        dropped = d.compact(now=1.0, floor=1.0)
-        assert dropped == 10
-        assert len(d) == 1
-        assert d.estimate(99, now=1.0) > 0
-
     def test_steady_state_equals_rate_times_tau(self):
         """The calibration identity behind tau=window: a constant-rate flow's
         decayed volume converges to rate * tau."""

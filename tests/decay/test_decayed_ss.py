@@ -15,7 +15,6 @@ class TestDecayedSpaceSaving:
         ss.update(1, 100.0, ts=0.0)
         ss.update(2, 50.0, ts=0.0)
         assert ss.estimate(1, now=0.0) == pytest.approx(100.0)
-        assert ss.guaranteed(1, now=0.0) == pytest.approx(100.0)
 
     def test_eviction_inherits_decayed_min(self):
         ss = DecayedSpaceSaving(2, LinearDecay(rate=1.0))
@@ -24,7 +23,6 @@ class TestDecayedSpaceSaving:
         # At t=5 key 1 has decayed to 5; key 3 inherits that.
         ss.update(3, 1.0, ts=5.0)
         assert ss.estimate(3, now=5.0) == pytest.approx(6.0)
-        assert ss.guaranteed(3, now=5.0) == pytest.approx(1.0)
         assert len(ss) == 2
 
     def test_never_underestimates_vs_exact(self):

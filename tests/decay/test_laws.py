@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.decay.laws import ExponentialDecay, LinearDecay, SlidingExpiry
+from repro.decay.laws import ExponentialDecay, LinearDecay
 
 values = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 ages = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
@@ -83,7 +83,6 @@ class TestVectorizedLaws:
     @pytest.mark.parametrize("law", [
         LinearDecay(rate=3.0),
         ExponentialDecay(tau=5.0),
-        SlidingExpiry(window=10.0),
     ])
     def test_decay_array_matches_scalar(self, law):
         import numpy as np
@@ -117,20 +116,3 @@ class TestVectorizedLaws:
         )
         # Only the exponential law advertises the value-linear fast path.
         assert not hasattr(LinearDecay(1.0), "decay_factor")
-        assert not hasattr(SlidingExpiry(1.0), "decay_factor")
-
-
-class TestSlidingExpiry:
-    def test_step_function(self):
-        law = SlidingExpiry(window=10.0)
-        assert law.decay(42.0, 9.99) == 42.0
-        assert law.decay(42.0, 10.0) == 0.0
-
-    def test_horizon_is_window(self):
-        assert SlidingExpiry(3.0).horizon() == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlidingExpiry(0.0)
-        with pytest.raises(ValueError):
-            SlidingExpiry(1.0).decay(1.0, -1.0)

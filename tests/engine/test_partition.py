@@ -41,7 +41,8 @@ class TestShardIds:
         assert counts.max() < len(keys) * 0.5
 
     def test_negative_and_huge_keys(self):
-        """Object-dtype key columns (key_func outputs) route like scalars."""
+        """Object-dtype key columns (arbitrary Python ints) route like
+        scalars."""
         keys = np.asarray([-10, 5, 2**63 + 11, -(2**40)], dtype=np.object_)
         ids = shard_ids(keys, 3)
         for key, sid in zip([-10, 5, 2**63 + 11, -(2**40)], ids.tolist()):

@@ -1,9 +1,8 @@
 """Unit tests for repro.hashing.mixers."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashing.mixers import fibonacci_hash, splitmix64, xorshift64star
+from repro.hashing.mixers import splitmix64
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -25,34 +24,3 @@ class TestSplitmix64:
         b = splitmix64(1)
         # A good mixer flips roughly half the bits.
         assert 16 <= bin(a ^ b).count("1") <= 48
-
-
-class TestXorshift64Star:
-    @given(u64)
-    def test_stays_in_64_bits(self, x):
-        assert 0 <= xorshift64star(x) < (1 << 64)
-
-    def test_fixes_zero(self):
-        assert xorshift64star(0) == 0
-
-    def test_nonzero_inputs_spread(self):
-        outputs = {xorshift64star(i) for i in range(1, 1001)}
-        assert len(outputs) == 1000
-
-
-class TestFibonacciHash:
-    @given(u64, st.integers(min_value=1, max_value=64))
-    def test_range(self, x, bits):
-        assert 0 <= fibonacci_hash(x, bits) < (1 << bits)
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            fibonacci_hash(1, 0)
-        with pytest.raises(ValueError):
-            fibonacci_hash(1, 65)
-
-    def test_distributes_over_buckets(self):
-        buckets = [0] * 16
-        for i in range(16000):
-            buckets[fibonacci_hash(i, 4)] += 1
-        assert min(buckets) > 500  # roughly uniform (expected 1000)

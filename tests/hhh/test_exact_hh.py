@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.hhh.exact_hh import exact_heavy_hitters, heavy_hitter_prefixes
-from repro.hhh.exact_hhh import ExactHHH
-from repro.net.prefix import Prefix
+from repro.hhh.exact_hh import exact_heavy_hitters
 
 
 class TestExactHeavyHitters:
@@ -18,30 +16,3 @@ class TestExactHeavyHitters:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             exact_heavy_hitters({1: 5}, 0)
-
-
-class TestHeavyHitterPrefixes:
-    def test_undiscounted_rollup(self):
-        counts = {0x0A000001: 60, 0x0A000002: 50}
-        result = heavy_hitter_prefixes(counts, 100)
-        # Neither leaf qualifies, but every ancestor of the pair does.
-        assert Prefix(0x0A000000, 24) in result
-        assert Prefix(0x0A000000, 16) in result
-        assert Prefix(0x0A000000, 8) in result
-        assert Prefix(0, 0) in result
-
-    def test_counts_are_plain_sums(self):
-        counts = {0x0A000001: 60, 0x0A000002: 50}
-        result = heavy_hitter_prefixes(counts, 100)
-        assert result[Prefix(0x0A000000, 24)] == 110
-
-    def test_hhh_is_subset_of_heavy_prefixes(self, tiny_trace):
-        counts = tiny_trace.bytes_by_key(0.0, 1e9)
-        threshold = 0.05 * sum(counts.values())
-        heavy = set(heavy_hitter_prefixes(counts, threshold))
-        hhh = ExactHHH(0.05).detect(counts).prefixes
-        assert hhh <= heavy
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            heavy_hitter_prefixes({1: 5}, -1)

@@ -8,7 +8,6 @@ streaming detectors against exact ground truth.
 import pytest
 
 from repro.hhh.exact_hhh import ExactHHH
-from repro.hhh.ground_truth import window_ground_truth
 from repro.metrics.classification import classify_sets
 from repro.metrics.hidden import hidden_hhh_unique
 from repro.sketch.rhhh import RHHH
@@ -16,11 +15,19 @@ from repro.windows.disjoint import DisjointWindows
 from repro.windows.sliding import SlidingWindows
 
 
+def truth_series(trace, windows, detector):
+    """``[(window, exact HHH result)]`` for each window in order."""
+    return [
+        (window, detector.detect_window(trace, window.t0, window.t1))
+        for window in windows
+    ]
+
+
 class TestGroundTruthPipeline:
     def test_window_ground_truth_series(self, small_trace):
         detector = ExactHHH(0.05)
         windows = list(DisjointWindows(4.0).over_trace(small_trace))
-        series = list(window_ground_truth(small_trace, windows, detector))
+        series = truth_series(small_trace, windows, detector)
         assert len(series) == len(windows)
         for window, result in series:
             assert result.total_bytes == small_trace.bytes_in_range(
@@ -31,19 +38,13 @@ class TestGroundTruthPipeline:
         """Every disjoint detection is found by the sliding schedule at
         the same instant (the hidden set is one-sided)."""
         detector = ExactHHH(0.05)
-        disjoint = list(
-            window_ground_truth(
-                small_trace,
-                list(DisjointWindows(4.0).over_trace(small_trace)),
-                detector,
-            )
+        disjoint = truth_series(
+            small_trace, DisjointWindows(4.0).over_trace(small_trace), detector
         )
-        sliding = list(
-            window_ground_truth(
-                small_trace,
-                list(SlidingWindows(4.0, 1.0).over_trace(small_trace)),
-                detector,
-            )
+        sliding = truth_series(
+            small_trace,
+            SlidingWindows(4.0, 1.0).over_trace(small_trace),
+            detector,
         )
         report = hidden_hhh_unique(disjoint, sliding)
         disjoint_union = set()

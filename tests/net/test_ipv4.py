@@ -3,26 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.ipv4 import IPV4_MAX, IPv4Address, format_ipv4, parse_ipv4
-
-
-class TestParse:
-    def test_basic(self):
-        assert parse_ipv4("10.0.0.1") == 0x0A000001
-
-    def test_zero(self):
-        assert parse_ipv4("0.0.0.0") == 0
-
-    def test_broadcast(self):
-        assert parse_ipv4("255.255.255.255") == IPV4_MAX
-
-    @pytest.mark.parametrize(
-        "bad",
-        ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1..2.3", "-1.0.0.0"],
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_ipv4(bad)
+from repro.net.ipv4 import IPV4_MAX, format_ipv4
 
 
 class TestFormat:
@@ -37,34 +18,8 @@ class TestFormat:
 
     @given(st.integers(min_value=0, max_value=IPV4_MAX))
     def test_roundtrip(self, value):
-        assert parse_ipv4(format_ipv4(value)) == value
-
-
-class TestIPv4Address:
-    def test_from_string(self):
-        addr = IPv4Address.from_string("192.168.1.7")
-        assert addr.octets == (192, 168, 1, 7)
-        assert str(addr) == "192.168.1.7"
-        assert int(addr) == 0xC0A80107
-
-    def test_from_octets_matches_from_string(self):
-        assert IPv4Address.from_octets(8, 8, 4, 4) == IPv4Address.from_string(
-            "8.8.4.4"
-        )
-
-    def test_octet_validation(self):
-        with pytest.raises(ValueError):
-            IPv4Address.from_octets(256, 0, 0, 0)
-
-    def test_value_validation(self):
-        with pytest.raises(ValueError):
-            IPv4Address(IPV4_MAX + 1)
-
-    def test_ordering_matches_integer_order(self):
-        a = IPv4Address.from_string("1.0.0.0")
-        b = IPv4Address.from_string("2.0.0.0")
-        assert a < b
-
-    def test_hashable_and_usable_in_sets(self):
-        s = {IPv4Address(1), IPv4Address(1), IPv4Address(2)}
-        assert len(s) == 2
+        octets = [int(part) for part in format_ipv4(value).split(".")]
+        assert len(octets) == 4
+        assert all(0 <= octet <= 255 for octet in octets)
+        assert (octets[0] << 24 | octets[1] << 16 | octets[2] << 8
+                | octets[3]) == value

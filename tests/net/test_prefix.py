@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.ipv4 import IPV4_MAX
-from repro.net.prefix import (
-    Prefix,
-    common_prefix_length,
-    mask_for_length,
-    parse_prefix,
-    prefix_contains,
-    truncate,
-)
+from repro.net.prefix import Prefix, mask_for_length, prefix_contains, truncate
 
 addresses = st.integers(min_value=0, max_value=IPV4_MAX)
 lengths = st.integers(min_value=0, max_value=32)
@@ -48,45 +41,6 @@ class TestTruncate:
     @given(addresses, lengths)
     def test_truncated_contains_original(self, addr, length):
         assert prefix_contains(truncate(addr, length), length, addr)
-
-
-class TestCommonPrefixLength:
-    def test_identical(self):
-        assert common_prefix_length(5, 5) == 32
-
-    def test_differs_at_top_bit(self):
-        assert common_prefix_length(0, 0x80000000) == 0
-
-    def test_adjacent(self):
-        assert common_prefix_length(0x0A000000, 0x0A000001) == 31
-
-    @given(addresses, addresses)
-    def test_symmetric(self, a, b):
-        assert common_prefix_length(a, b) == common_prefix_length(b, a)
-
-    @given(addresses, addresses)
-    def test_agreement_above_common_length(self, a, b):
-        k = common_prefix_length(a, b)
-        if k:
-            assert truncate(a, k) == truncate(b, k)
-
-
-class TestParsePrefix:
-    def test_with_length(self):
-        p = parse_prefix("10.0.0.0/8")
-        assert p == Prefix(0x0A000000, 8)
-
-    def test_bare_address_is_host(self):
-        assert parse_prefix("1.2.3.4").length == 32
-
-    def test_rejects_host_bits(self):
-        with pytest.raises(ValueError):
-            parse_prefix("10.0.0.1/8")
-
-    @pytest.mark.parametrize("bad", ["10.0.0.0/33", "10.0.0.0/x", "10.0.0.0/"])
-    def test_rejects_bad_length(self, bad):
-        with pytest.raises(ValueError):
-            parse_prefix(bad)
 
 
 class TestPrefix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hashing.families import MixerFamily, MultiplyShiftFamily
+from repro.hashing.families import MultiplyShiftFamily
 from repro.hashing.mixers import splitmix64, splitmix64_array
 
 pytestmark = pytest.mark.slow
@@ -20,7 +20,7 @@ pytestmark = pytest.mark.slow
 NUM_SEEDS = 200
 KEYS_PER_SEED = 64
 
-FAMILIES = (MultiplyShiftFamily, MixerFamily)
+FAMILIES = (MultiplyShiftFamily,)
 
 
 def _random_keys(rng: np.random.Generator) -> np.ndarray:

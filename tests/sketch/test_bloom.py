@@ -2,66 +2,36 @@
 
 import pytest
 
-from repro.sketch.bloom import BloomFilter, optimal_parameters
-
-
-class TestOptimalParameters:
-    def test_textbook_values(self):
-        bits, hashes = optimal_parameters(1000, 0.01)
-        assert 9000 < bits < 10100
-        assert hashes == 7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            optimal_parameters(0, 0.01)
-        with pytest.raises(ValueError):
-            optimal_parameters(100, 0.0)
-        with pytest.raises(ValueError):
-            optimal_parameters(100, 1.0)
+from repro.sketch.bloom import BloomFilter
 
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        bf = BloomFilter.for_capacity(500, 0.01)
+        # Sized for 500 keys at a 1% false-positive rate.
+        bf = BloomFilter(bits=4793, hashes=7)
         keys = list(range(0, 5000, 10))
         for key in keys:
             bf.add(key)
         assert all(key in bf for key in keys)
 
     def test_false_positive_rate_near_target(self):
-        bf = BloomFilter.for_capacity(1000, 0.02)
+        # Sized for 1000 keys at a 2% false-positive rate.
+        bf = BloomFilter(bits=8143, hashes=6)
         for key in range(1000):
             bf.add(key)
         false_positives = sum(1 for key in range(10_000, 30_000) if key in bf)
         rate = false_positives / 20_000
         assert rate < 0.06  # target 0.02 with slack
 
-    def test_fill_ratio_grows(self):
-        bf = BloomFilter(bits=1024, hashes=3)
-        assert bf.fill_ratio() == 0.0
-        for key in range(100):
-            bf.add(key)
-        assert 0 < bf.fill_ratio() < 1
-
     def test_saturation_destroys_filtering(self):
         # The windowed-reset motivation: saturate and everything matches.
         bf = BloomFilter(bits=128, hashes=2)
         for key in range(5000):
             bf.add(key)
-        assert bf.fill_ratio() > 0.99
         assert all(key in bf for key in range(99_000, 99_100))
-
-    def test_expected_fp_rate_tracks_fill(self):
-        bf = BloomFilter(bits=2048, hashes=4)
-        for key in range(300):
-            bf.add(key)
-        assert 0 < bf.expected_false_positive_rate() < 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BloomFilter(bits=0)
         with pytest.raises(ValueError):
             BloomFilter(hashes=0)
-
-    def test_size_bytes(self):
-        assert BloomFilter(bits=8192).size_bytes == 1024

@@ -15,7 +15,6 @@ class TestBasics:
             ss.update(key, weight)
         assert ss.estimate(1) == 7
         assert ss.estimate(2) == 3
-        assert ss.guaranteed(1) == 7
 
     def test_untracked_key_estimate_is_min_when_full(self):
         ss = SpaceSaving(capacity=2)
@@ -34,7 +33,6 @@ class TestBasics:
         ss.update(2, 20)
         ss.update(3, 1)  # evicts key 1 (min=10), inherits its count
         assert ss.estimate(3) == 11
-        assert ss.guaranteed(3) == 1
         assert len(ss) == 2
 
     def test_query_threshold(self):

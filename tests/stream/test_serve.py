@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from repro.core import get_spec, make_detector
-from repro.engine import ServeError, ServePool, ShardedDetector
+from repro.engine import ServeError, ShardedDetector
 from repro.stream import (
     ServeRuntime,
     StreamPipeline,
@@ -336,20 +336,6 @@ class TestLiveLifecycle:
 
 
 class TestRuntimeWiring:
-    def test_injected_pool_capacity_must_cover_chunks(self):
-        with ServePool(1, chunk_capacity=256) as pool:
-            with pytest.raises(ServeError, match="batch boundaries"):
-                ServeRuntime(chunk_size=512, pool=pool)
-            runtime = ServeRuntime(chunk_size=256, pool=pool)
-            runtime.add_tenant("t", "countmin-hh", SPECS["alpha"],
-                               max_packets=1000)
-            list(runtime.run())
-            runtime.close()
-            # The injected pool outlives the runtime.
-            pool.open_tenant("still-alive", partial(
-                make_detector, "countmin-hh"
-            ))
-
     def test_closed_runtime_fences_registration(self):
         runtime = ServeRuntime(workers=1, chunk_size=CHUNK)
         runtime.close()

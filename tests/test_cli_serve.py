@@ -2,6 +2,7 @@
 checkpoint directories, resume with fast-forward, and the JSON artifact."""
 
 import json
+import pickle
 
 import pytest
 
@@ -78,6 +79,17 @@ class TestServeCommand:
             "--tenant", f"a={SPEC_A}", "--tenant", f"a={SPEC_B}",
         )
         assert code == 2
+
+    def test_wrong_schema_resume_names_tenant_and_file(self, capsys, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(pickle.dumps([1, 2, 3]))
+        code = main(["serve", "--tenant", f"a={SPEC_A}",
+                     "--resume-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'a'" in err
+        assert str(path) in err
+        assert "repro-hhh/stream-checkpoint/v1" in err
 
     def test_rejects_unknown_detector(self, capsys):
         code, _ = _run(

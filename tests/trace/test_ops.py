@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.trace.container import Trace
-from repro.trace.ops import concat_traces, shift_trace, slice_time, thin_trace
+from repro.trace.ops import concat_traces, shift_trace, slice_time
 
 
 class TestShift:
@@ -44,26 +44,3 @@ class TestSlice:
         a = slice_time(tiny_trace, 1.0, 2.0)
         b = tiny_trace.slice_time(1.0, 2.0)
         assert np.array_equal(a.ts, b.ts)
-
-
-class TestThin:
-    def test_keep_all(self, tiny_trace):
-        assert thin_trace(tiny_trace, 1.0) is tiny_trace
-
-    def test_keep_half_roughly(self, tiny_trace):
-        thinned = thin_trace(tiny_trace, 0.5, seed=1)
-        assert 0.35 * len(tiny_trace) < len(thinned) < 0.65 * len(tiny_trace)
-
-    def test_deterministic(self, tiny_trace):
-        a = thin_trace(tiny_trace, 0.3, seed=2)
-        b = thin_trace(tiny_trace, 0.3, seed=2)
-        assert np.array_equal(a.ts, b.ts)
-
-    def test_validation(self, tiny_trace):
-        with pytest.raises(ValueError):
-            thin_trace(tiny_trace, 0.0)
-        with pytest.raises(ValueError):
-            thin_trace(tiny_trace, 1.5)
-
-    def test_empty_trace(self):
-        assert len(thin_trace(Trace.empty(), 0.5)) == 0

@@ -53,10 +53,3 @@ class TestOtherPresets:
     def test_ddos_trace_has_violent_episodes(self):
         t = presets.ddos_trace(duration=30.0)
         assert len(t) > 0
-
-    def test_scaled_config(self):
-        base = presets.caida_like_config(0, duration=5.0)
-        doubled = presets.scaled_config(base, 2.0)
-        assert doubled.rate.base_rate == base.rate.base_rate * 2
-        with pytest.raises(ValueError):
-            presets.scaled_config(base, 0.0)

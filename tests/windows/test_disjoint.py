@@ -23,13 +23,6 @@ class TestSchedule:
         windows = list(DisjointWindows(5.0).over_span(0.0, 12.0))
         assert len(windows) == 2
 
-    def test_partial_window_included_on_request(self):
-        windows = list(
-            DisjointWindows(5.0, include_partial=True).over_span(0.0, 12.0)
-        )
-        assert len(windows) == 3
-        assert windows[-1].length == pytest.approx(2.0)
-
     def test_nonzero_start(self):
         windows = list(DisjointWindows(2.0).over_span(10.0, 16.0))
         assert windows[0].t0 == 10.0
@@ -52,19 +45,3 @@ class TestSchedule:
         from repro.trace.container import Trace
 
         assert list(DisjointWindows(1.0).over_trace(Trace.empty())) == []
-
-
-class TestWindowOf:
-    def test_maps_timestamp_to_window(self):
-        schedule = DisjointWindows(5.0)
-        w = schedule.window_of(12.3)
-        assert w == Window(10.0, 15.0, 2)
-        assert w.contains(12.3)
-
-    def test_boundary_belongs_to_next_window(self):
-        w = DisjointWindows(5.0).window_of(5.0)
-        assert w.index == 1
-
-    def test_before_start_rejected(self):
-        with pytest.raises(ValueError):
-            DisjointWindows(5.0).window_of(1.0, start=2.0)

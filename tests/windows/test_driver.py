@@ -58,15 +58,6 @@ class TestDriver:
         assert len(reports) == 3
         assert reports[1][1] == {}
 
-    def test_custom_key_func(self):
-        trace = trace_from([(0.2, 1, 100), (1.5, 9, 1)])
-        driver = WindowedDetectorDriver(
-            ExactCounter, window_size=1.0,
-            key_func=lambda pkt: pkt.dst, phi=0.5,
-        )
-        ((_, report),) = list(driver.run(trace))
-        assert set(report) == {0}  # all packets share dst 0
-
     def test_empty_trace(self):
         driver = WindowedDetectorDriver(ExactCounter, window_size=1.0)
         assert list(driver.run(Trace.empty())) == []
@@ -187,18 +178,6 @@ class TestWindowSlices:
 
 
 class TestBatchPath:
-    def test_batch_and_keyfunc_paths_agree(self, tiny_trace):
-        # key_func=None takes the columnar fast path; an equivalent
-        # callable forces per-packet extraction.  Reports must match.
-        fast = WindowedDetectorDriver(
-            lambda: SpaceSaving(64), window_size=1.0, phi=0.1
-        )
-        slow = WindowedDetectorDriver(
-            lambda: SpaceSaving(64), window_size=1.0,
-            key_func=lambda pkt: pkt.src, phi=0.1,
-        )
-        assert list(fast.run(tiny_trace)) == list(slow.run(tiny_trace))
-
     def test_batch_detector_matches_legacy_scalar_detector(self, tiny_trace):
         # A Detector subclass (batched) and a plain legacy object (scalar
         # protocol) must report identical windows.

@@ -49,14 +49,3 @@ class TestSchedule:
         from repro.trace.container import Trace
 
         assert list(SlidingWindows(5.0).over_trace(Trace.empty())) == []
-
-
-class TestWindowsCovering:
-    def test_all_covering_windows_found(self):
-        schedule = SlidingWindows(5.0, 1.0)
-        covering = schedule.windows_covering(7.5)
-        assert all(w.contains(7.5) for w in covering)
-        assert len(covering) == 5  # starts at 3,4,5,6,7
-
-    def test_before_start(self):
-        assert SlidingWindows(5.0, 1.0).windows_covering(-1.0) == []
