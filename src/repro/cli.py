@@ -20,7 +20,7 @@ The streaming runtime has its own online driver — emissions print as they
 happen, and the pipeline can checkpoint at end of run and resume later::
 
     repro-hhh stream <detector> --source SPEC [--chunk N]
-              [--emit-every Np|Ts|window:T] [--max-packets N]
+              [--emit-every Np|Ts] [--max-packets N]
               [--checkpoint FILE] [--resume FILE --fast-forward]
 
 The serve runtime multiplexes many tenant streams over one pool of
@@ -328,6 +328,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         skip_packets,
     )
 
+    if args.fast_forward and not args.resume:
+        return _fail("--fast-forward needs --resume FILE")
     try:
         spec = get_enumerable_spec(args.detector)
         source = parse_stream_spec(args.source)
@@ -428,6 +430,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.engine.serve import ServeError
     from repro.stream import STREAM_CHECKPOINT_SCHEMA, ServeRuntime
 
+    if args.fast_forward and not args.resume_dir:
+        return _fail("--fast-forward needs --resume-dir DIR")
     tenants: list[tuple[str, str]] = []
     for pair in args.tenant:
         name, eq, spec = pair.partition("=")
@@ -788,8 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=_min1_int, default=8192, metavar="N",
                    help="packets per columnar chunk (default 8192)")
     p.add_argument("--emit-every", default="2s", metavar="POLICY",
-                   help="'Np' packets, 'Ts' trace seconds, or 'window:T' "
-                        "driver-aligned (default 2s)")
+                   help="'Np' packets or 'Ts' trace seconds (default 2s)")
     p.add_argument("--phi", type=_phi_float, default=0.02,
                    help="report threshold as a fraction of interval bytes")
     p.add_argument("--key", choices=("src", "dst"), default="src",
@@ -840,8 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="packets per chunk and shared-memory slot "
                         "(default 8192)")
     p.add_argument("--emit-every", default="2s", metavar="POLICY",
-                   help="'Np' packets, 'Ts' trace seconds, or 'window:T' "
-                        "driver-aligned (default 2s)")
+                   help="'Np' packets or 'Ts' trace seconds (default 2s)")
     p.add_argument("--phi", type=_phi_float, default=0.02,
                    help="report threshold as a fraction of interval bytes")
     p.add_argument("--key", choices=("src", "dst"), default="src",

@@ -157,142 +157,59 @@ class Detector(abc.ABC):
     def save_state(self) -> dict[str, object]:
         """Snapshot the complete mutable state as a versioned artifact.
 
-        The default captures the instance ``__dict__`` (counter tables,
-        candidate maps, RNG states, hash functions — every detector in the
-        registry pickles whole), deep-copied via pickle so later updates
-        never leak into the snapshot.  Restoring the artifact with
+        The default encodes the instance ``__dict__`` (counter tables,
+        candidate maps, RNG states, hash functions) with the state codec
+        of :mod:`repro.core.checkpoint`, a deep snapshot that later
+        updates never leak into.  Restoring the artifact with
         :meth:`load_state` and continuing the stream is bit-identical to
         never having stopped; ``tests/core/test_checkpoint_equivalence.py``
         enforces this registry-wide.  Composite detectors that hold
-        non-picklable runtime objects (the sharded engine's process-pool
-        runner) override both methods to snapshot only detector state.
+        runtime objects (the sharded engine's process-pool runner)
+        override both methods to snapshot only detector state.
         """
         from repro.core.checkpoint import pack_state
 
-        return pack_state(self, dict(self.__dict__))
+        return pack_state(type(self), dict(self.__dict__))
 
     def load_state(self, state: dict[str, object]) -> None:
         """Restore a :meth:`save_state` artifact in place.
 
-        Validates the artifact's schema version and detector class first,
-        so loading mismatched state raises instead of corrupting counters.
+        Validates the artifact's schema, detector class and checksum, and
+        that the payload holds exactly this detector's attributes, before
+        touching any state: a mismatched or damaged artifact raises
+        :class:`repro.core.checkpoint.CheckpointError` and leaves the
+        detector as it was.
         """
-        from repro.core.checkpoint import unpack_state
+        from repro.core.checkpoint import CheckpointError, unpack_state
 
-        payload = unpack_state(self, state)
+        payload = unpack_state(type(self), state)
+        if not isinstance(payload, dict) or set(payload) != set(self.__dict__):
+            raise CheckpointError(
+                f"checkpoint payload does not hold the attributes of "
+                f"{type(self).__qualname__!r}"
+            )
         self.__dict__.clear()
-        self.__dict__.update(payload)  # type: ignore[arg-type]
+        self.__dict__.update(payload)
 
     def state_digest(self) -> str:
         """A short stable hash of the complete detector state.
 
-        SHA-256 over a *canonical* walk of the :meth:`save_state` payload
-        (schema tag, detector class, then every counter table, candidate
-        map, and hash-function parameter by structure and value).  This is
-        the cheap pre-check the equivalence fuzz harness (:mod:`repro.fuzz`)
-        runs before diffing full emission sequences: plans promised
-        bit-identical (checkpoint/resume vs uninterrupted, serve vs serial)
-        must converge to the same digest, and a mismatch pins the
-        divergence to detector state even when every emitted report
-        happens to agree.
-
-        The walk deliberately does *not* hash raw pickle bytes: pickle
-        memoization encodes object-identity accidents (e.g. interned
-        ``__dict__`` key strings shared across sub-objects in a fresh
-        detector but distinct after a restore round-trip) that are
-        observationally meaningless.  Dict *insertion order* is hashed —
-        it is observable through ``query`` report order.
+        The SHA-256 of the :meth:`save_state` payload: the state codec
+        writes equal states as equal bytes (dict insertion order
+        included — it is observable through ``query`` report order).
+        This is the cheap pre-check the equivalence fuzz harness
+        (:mod:`repro.fuzz`) runs before diffing full emission sequences:
+        plans promised bit-identical (checkpoint/resume vs uninterrupted,
+        serve vs serial) must converge to the same digest, and a mismatch
+        pins the divergence to detector state even when every emitted
+        report happens to agree.
         """
         import hashlib
 
-        state = self.save_state()
-        h = hashlib.sha256()
-        _canonical_update(h, state)
-        return h.hexdigest()
+        return hashlib.sha256(self.save_state()["payload"]).hexdigest()
 
     @property
     @abc.abstractmethod
     def num_counters(self) -> int:
         """Counters allocated (for resource accounting)."""
 
-
-def _canonical_update(h, obj, _depth: int = 0) -> None:
-    """Feed ``obj`` into hash ``h`` by structure and value, not identity.
-
-    Handles the types detector state is made of (numpy arrays, dicts,
-    sequences, primitives, plain-``__dict__`` objects such as hash
-    families and flat tables); nested ``repro-hhh/detector-state/v1``
-    envelopes (the sharded engine's payload) are unpickled and walked
-    rather than hashed as opaque bytes, so the digest stays canonical
-    through composition.  Unknown leaves fall back to their own pickle
-    (fresh memo, so the cross-object identity accidents cannot leak in).
-    """
-    import pickle
-    import struct
-
-    if _depth > 50:  # cycles / pathological nesting: opaque fallback
-        h.update(b"deep")
-        h.update(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-        return
-    if obj is None:
-        h.update(b"N")
-    elif isinstance(obj, bool):
-        h.update(b"T" if obj else b"F")
-    elif isinstance(obj, int):
-        h.update(b"i" + str(obj).encode())
-    elif isinstance(obj, float):
-        h.update(b"f" + struct.pack("<d", obj))
-    elif isinstance(obj, str):
-        h.update(b"s" + obj.encode())
-    elif isinstance(obj, bytes):
-        h.update(b"b" + obj)
-    elif isinstance(obj, np.ndarray):
-        h.update(b"a" + str(obj.dtype).encode() + str(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, np.generic):
-        h.update(b"g" + str(obj.dtype).encode() + obj.tobytes())
-    elif isinstance(obj, dict):
-        from repro.core.checkpoint import STATE_SCHEMA
-
-        if obj.get("schema") == STATE_SCHEMA and isinstance(
-            obj.get("payload"), bytes
-        ):
-            h.update(b"E" + str(obj.get("detector")).encode())
-            _canonical_update(
-                h, pickle.loads(obj["payload"]), _depth + 1
-            )
-            return
-        h.update(b"{")
-        for key, value in obj.items():
-            _canonical_update(h, key, _depth + 1)
-            h.update(b":")
-            _canonical_update(h, value, _depth + 1)
-        h.update(b"}")
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"[" if isinstance(obj, list) else b"(")
-        for item in obj:
-            _canonical_update(h, item, _depth + 1)
-        h.update(b"]")
-    elif isinstance(obj, (set, frozenset)):
-        import hashlib
-
-        # Order-insensitive: combine sorted per-element digests.
-        parts = []
-        for item in obj:
-            sub = hashlib.sha256()
-            _canonical_update(sub, item, _depth + 1)
-            parts.append(sub.digest())
-        h.update(b"<")
-        for part in sorted(parts):
-            h.update(part)
-        h.update(b">")
-    else:
-        h.update(b"O" + type(obj).__qualname__.encode())
-        try:
-            attrs = vars(obj)
-        except TypeError:
-            h.update(
-                pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        else:
-            _canonical_update(h, attrs, _depth + 1)

@@ -22,8 +22,8 @@ so the load factor stays <= 0.5 plus tombstones.  A deterministic in-place
 rebuild clears tombstones before probe chains can degrade.
 
 Column arrays are rebuilt *in place* (same ndarray objects) so detectors
-may safely cache references to them; the whole table pickles through
-``__dict__`` for checkpointing.
+may safely cache references to them; checkpoints encode the table through
+its ``__dict__`` and restore the shared arrays shared.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ tenant's failure is reported as :class:`TenantError` without touching
 sibling tenants or killing workers.
 
 Checkpoints interchange with the serial engine: ``save_tenant`` emits the
-same ``repro-hhh/detector-state/v1`` envelope a
+same ``repro-hhh/detector-state/v2`` artifact a
 :class:`repro.engine.ShardedDetector` of equal shard count writes, and
 ``load_tenant`` accepts one — a tenant frozen under serve resumes under
 the serial pipeline (or on a pool with a *different worker count*)
@@ -49,22 +49,16 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import pickle
 import weakref
 from collections import deque
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.checkpoint import STATE_SCHEMA, CheckpointError
 from repro.core.detector import Detector, as_batch
 from repro.engine.partition import shard_ids
+from repro.engine.sharded import pack_shards, unpack_shards
 from repro.engine.shm import ChunkRing
-
-#: ``detector`` tag written into serve checkpoints — deliberately the
-#: serial engine's class name, because the artifact captures the logical
-#: key-partitioned shard set, not the runtime that held it.
-_SHARDED_STATE_TAG = "ShardedDetector"
 
 
 class ServeError(RuntimeError):
@@ -577,10 +571,17 @@ class ServePool:
         return s
 
     def barrier(self) -> None:
-        """Block until every shipped chunk is folded in (all acks drained)."""
+        """Block until every shipped chunk is folded in (all acks drained).
+
+        A worker that died after its last ack raises
+        :class:`WorkerCrashError` here too: no chunk is in flight, but its
+        shards' state is gone.
+        """
         self._check_open()
         for w in range(self.num_workers):
             self._drain(w)
+            if w not in self._dead and not self._procs[w].is_alive():
+                self._mark_dead(w, "process exited")
 
     def take_tenant_errors(self) -> list[tuple[object, str]]:
         """Deferred async update failures collected since the last call."""
@@ -625,9 +626,9 @@ class ServePool:
         return sum(self._broadcast(tenant, ("counters", tenant)))
 
     def save_tenant(self, tenant) -> dict[str, object]:
-        """Freeze one tenant into the serial engine's checkpoint envelope.
+        """Freeze one tenant into the serial engine's checkpoint artifact.
 
-        The artifact is byte-compatible with
+        The artifact is byte-identical to
         ``ShardedDetector(factory, shards).save_state()``: restoring it
         there — or on a pool with any worker count and the same shard
         count — continues bit-identically.
@@ -636,36 +637,11 @@ class ServePool:
         for payload in self._broadcast(tenant, ("save", tenant)):
             shard_states.update(payload)
         self._raise_deferred(tenant)
-        payload = {
-            "num_shards": self.num_shards,
-            "shards": [shard_states[s] for s in range(self.num_shards)],
-        }
-        return {
-            "schema": STATE_SCHEMA,
-            "detector": _SHARDED_STATE_TAG,
-            "payload": pickle.dumps(
-                payload, protocol=pickle.HIGHEST_PROTOCOL
-            ),
-        }
+        return pack_shards([shard_states[s] for s in range(self.num_shards)])
 
     def load_tenant(self, tenant, state: dict[str, object]) -> None:
         """Restore a :meth:`save_tenant` / ``ShardedDetector`` artifact."""
-        if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
-            raise CheckpointError(
-                f"expected a {STATE_SCHEMA!r} artifact"
-            )
-        if state.get("detector") != _SHARDED_STATE_TAG:
-            raise CheckpointError(
-                f"checkpoint holds {state.get('detector')!r} state; the "
-                f"serve pool loads {_SHARDED_STATE_TAG!r} artifacts"
-            )
-        payload = pickle.loads(state["payload"])  # type: ignore[arg-type]
-        if payload["num_shards"] != self.num_shards:
-            raise CheckpointError(
-                f"checkpoint has {payload['num_shards']} shards; this pool "
-                f"serves {self.num_shards}"
-            )
-        shards = payload["shards"]
+        shards = unpack_shards(state, self.num_shards)
         self._fanout(tenant, lambda w: (
             "load", tenant, {s: shards[s] for s in self.owned[w]}
         ))

@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.checkpoint import CheckpointError, pack_state, unpack_state
 from repro.core.detector import Detector, as_batch
 from repro.engine.partition import partition_batch, shard_of_key
 from repro.engine.runner import ParallelRunner
@@ -134,29 +135,15 @@ class ShardedDetector(Detector):
 
     def save_state(self) -> dict[str, object]:
         """Shard-wise snapshot (the factory and runner are runtime wiring,
-        not state: a live process pool cannot be pickled, and restore
-        targets an identically-configured instance anyway)."""
-        from repro.core.checkpoint import pack_state
-
-        return pack_state(
-            self,
-            {
-                "num_shards": self.num_shards,
-                "shards": [shard.save_state() for shard in self.shards],
-            },
-        )
+        not state, and restore targets an identically-configured instance
+        anyway)."""
+        return pack_shards([shard.save_state() for shard in self.shards])
 
     def load_state(self, state: dict[str, object]) -> None:
         """Restore shard states in place; shard count must match."""
-        from repro.core.checkpoint import CheckpointError, unpack_state
-
-        payload = unpack_state(self, state)
-        if payload["num_shards"] != self.num_shards:
-            raise CheckpointError(
-                f"checkpoint has {payload['num_shards']} shards; this "
-                f"detector has {self.num_shards}"
-            )
-        for shard, shard_state in zip(self.shards, payload["shards"]):
+        for shard, shard_state in zip(
+            self.shards, unpack_shards(state, self.num_shards)
+        ):
             shard.load_state(shard_state)
 
     # -- sharding-specific surface ----------------------------------------
@@ -184,3 +171,26 @@ class ShardedDetector(Detector):
             f"runner={self.runner!r})"
         )
 
+
+def pack_shards(states: list[dict[str, object]]) -> dict[str, object]:
+    """The sharded artifact: one detector envelope per logical shard, in
+    shard order.  The serial engine and the serve pool both write it, so
+    either restores the other's checkpoints whatever the worker layout."""
+    return pack_state(ShardedDetector, states)
+
+
+def unpack_shards(state: object, num_shards: int) -> list[dict[str, object]]:
+    """The shard envelopes of a :func:`pack_shards` artifact.
+
+    The artifact's checksum covers every nested shard payload, so a
+    damaged file fails here, before any shard is touched.
+    """
+    shards = unpack_state(ShardedDetector, state)
+    if not isinstance(shards, list):
+        raise CheckpointError("sharded checkpoint payload must be a list")
+    if len(shards) != num_shards:
+        raise CheckpointError(
+            f"checkpoint has {len(shards)} shards; this detector has "
+            f"{num_shards}"
+        )
+    return shards

@@ -63,8 +63,8 @@ class StreamServe(Experiment):
               "packets per chunk and per shared-memory slot",
               check=check_min1),
         Param("emit", "str", "2s",
-              "emission policy: 'Np' packets, 'Ts' trace seconds, or "
-              "'window:T' driver-aligned", check=_check_emit),
+              "emission policy: 'Np' packets or 'Ts' trace seconds",
+              check=_check_emit),
         Param("phi", "float", 0.02,
               "report threshold as a fraction of each interval's bytes",
               check=check_phi),

@@ -319,7 +319,7 @@ def eligible_detectors(axis: str) -> tuple[str, ...]:
 _SCENARIOS = ("zipf", "ddos-burst", "flash-crowd", "portscan", "calm")
 
 _CHUNKS = (16, 32, 48, 64, 96, 128, 192, 256)
-_EMITS = ("1s", "2s", "250p", "500p", "window:2")
+_EMITS = ("1s", "2s", "250p", "500p")
 _PHIS = (0.01, 0.02, 0.05)
 
 

@@ -28,7 +28,6 @@ from repro.stream.emission import (
     EmissionPolicy,
     EveryNPackets,
     EveryTraceSeconds,
-    WindowAligned,
     parse_emission_policy,
 )
 from repro.stream.pipeline import (
@@ -68,7 +67,6 @@ __all__ = [
     "StreamPipeline",
     "StreamSource",
     "TraceSource",
-    "WindowAligned",
     "build_stream_detector",
     "churn_series",
     "emission_rows",

@@ -8,12 +8,9 @@ land mid-chunk and the pipeline still honours it exactly:
 
 - :class:`EveryNPackets` — a report every N packets of stream;
 - :class:`EveryTraceSeconds` — a report every T seconds of *trace time*
-  (edges accumulate from the first packet, exactly like the windowed
-  driver's schedule);
-- :class:`WindowAligned` — trace-time emission whose edges come from the
-  shared accumulating-edge schedule in :mod:`repro.windows.schedule`, so
-  emissions are bit-aligned with ``WindowedDetectorDriver`` windows of the
-  same size.
+  (edges accumulate from the first packet exactly like
+  :func:`repro.windows.schedule.edge_schedule`, so emissions are
+  bit-aligned with ``WindowedDetectorDriver`` windows of the same size).
 
 Policies are stateful (a pending edge, a packet countdown) and expose
 ``state_dict``/``load_state_dict`` so a stream checkpoint can freeze and
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.windows.schedule import Window, edge_iter
+from repro.windows.schedule import Window
 
 #: One emission boundary inside a chunk: ``(position, edge)``.  ``position``
 #: is the number of leading chunk packets that belong to the closing
@@ -163,75 +160,16 @@ class EveryTraceSeconds(EmissionPolicy):
         self._next_edge = None if edge is None else float(edge)  # type: ignore[arg-type]
 
 
-class WindowAligned(EveryTraceSeconds):
-    """Trace-time emission bit-aligned with the windowed driver's schedule.
-
-    Edges are drawn from :func:`repro.windows.schedule.edge_iter` — the
-    same accumulating schedule ``WindowedDetectorDriver`` slices windows
-    from — so an emission's ``window`` is the exact disjoint window a
-    driver with ``window_size=every_s`` would have reported.  Checkpoint
-    state is ``(start, emitted count)``; restore replays the accumulation,
-    reproducing the identical float edge sequence.
-    """
-
-    def __init__(self, window_size: float) -> None:
-        super().__init__(window_size)
-        self._start: float | None = None
-        self._emitted = 0
-
-    def start(self, first_ts: float) -> None:
-        if self._start is None:
-            self._start = first_ts
-            self._edges = edge_iter(first_ts, self.every_s)
-            self._next_edge = next(self._edges)
-
-    def cuts(self, ts: np.ndarray) -> list[Cut]:
-        if self._next_edge is None:
-            raise RuntimeError("policy not started; call start(first_ts)")
-        out: list[Cut] = []
-        while True:
-            position = int(
-                np.searchsorted(ts, self._next_edge, side="left")
-            )
-            if position >= len(ts):
-                return out
-            out.append((position, self._next_edge))
-            self._emitted += 1
-            self._next_edge = next(self._edges)
-
-    def describe(self) -> str:
-        return f"window:{self.every_s:g}"
-
-    def state_dict(self) -> dict[str, object]:
-        return {"start": self._start, "emitted": self._emitted}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        start = state["start"]
-        self._start = None if start is None else float(start)  # type: ignore[arg-type]
-        self._emitted = int(state["emitted"])  # type: ignore[arg-type]
-        if self._start is None:
-            self._next_edge = None
-            return
-        # Replay the accumulating schedule so the pending edge is the
-        # bit-identical float the uninterrupted run would hold.
-        self._edges = edge_iter(self._start, self.every_s)
-        self._next_edge = next(self._edges)
-        for _ in range(self._emitted):
-            self._next_edge = next(self._edges)
-
-
 def parse_emission_policy(text: str) -> EmissionPolicy:
     """Parse an ``--emit-every`` spelling into a fresh policy.
 
     ``"20000p"`` — every 20k packets; ``"2.5s"`` — every 2.5 trace
-    seconds; ``"window:10"`` — aligned with 10 s driver windows.
+    seconds.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty emission policy")
     try:
-        if text.startswith("window:"):
-            return WindowAligned(float(text.removeprefix("window:")))
         if text.endswith("p"):
             return EveryNPackets(int(text[:-1]))
         if text.endswith("s"):
@@ -239,6 +177,6 @@ def parse_emission_policy(text: str) -> EmissionPolicy:
     except ValueError as exc:
         raise ValueError(f"bad emission policy {text!r}: {exc}") from None
     raise ValueError(
-        f"bad emission policy {text!r}; expected 'Np' (packets), "
-        "'Ts' (trace seconds), or 'window:T' (driver-aligned windows)"
+        f"bad emission policy {text!r}; expected 'Np' (packets) or "
+        "'Ts' (trace seconds)"
     )

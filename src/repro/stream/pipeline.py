@@ -38,7 +38,7 @@ from repro.trace.container import Trace
 from repro.windows.schedule import Window
 
 #: Version tag embedded in every stream checkpoint.
-STREAM_CHECKPOINT_SCHEMA = "repro-hhh/stream-checkpoint/v1"
+STREAM_CHECKPOINT_SCHEMA = "repro-hhh/stream-checkpoint/v2"
 
 _KEY_COLUMNS = ("src", "dst")
 
@@ -236,8 +236,9 @@ class StreamPipeline:
 
         Captures the detector state (via :meth:`Detector.save_state`), the
         emission policy's pending state, and every stream offset.  The
-        artifact is self-describing and picklable; pair it with
-        :meth:`restore` on an identically-configured pipeline.
+        artifact is a self-describing state tree that
+        :func:`repro.core.checkpoint.write_checkpoint` can store; pair it
+        with :meth:`restore` on an identically-configured pipeline.
         """
         return {
             "schema": STREAM_CHECKPOINT_SCHEMA,

@@ -50,7 +50,7 @@ The runtime is churn-tolerant and supervised:
   with equal shard count) bit-identically, without stopping siblings.
 
 Checkpoints are the migration unit: :meth:`ServeRuntime.checkpoint_tenant`
-emits the standard ``repro-hhh/stream-checkpoint/v1`` artifact, so a
+emits the standard ``repro-hhh/stream-checkpoint/v2`` artifact, so a
 tenant frozen here resumes bit-identically on another pool (any worker
 count, same shard count), under the serial pipeline, or back here via
 ``add_tenant(..., resume=ckpt, fast_forward=True)``.
@@ -191,7 +191,7 @@ class ServeRuntime:
         ``detector`` is a registry name (must be enumerable) or a picklable
         detector factory; ``source`` is a stream spec string or a
         :class:`StreamSource`.  ``resume`` restores a prior
-        ``repro-hhh/stream-checkpoint/v1`` artifact before any packet
+        ``repro-hhh/stream-checkpoint/v2`` artifact before any packet
         flows, and ``fast_forward`` additionally skips the packets that
         artifact already consumed (for deterministic sources replayed from
         the start).  ``max_packets`` bounds this tenant; with ``resume`` it
@@ -282,7 +282,7 @@ class ServeRuntime:
     ) -> dict[str, object] | None:
         """Drop one tenant now (legal mid-``run``); siblings are untouched.
 
-        Returns the tenant's final ``repro-hhh/stream-checkpoint/v1``
+        Returns the tenant's final ``repro-hhh/stream-checkpoint/v2``
         artifact (its migration unit — resume it anywhere) unless
         ``checkpoint=False``.  The name becomes free for re-admission.
         """

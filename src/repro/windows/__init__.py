@@ -11,7 +11,7 @@
   at the end of each time window" practice the paper describes).
 """
 
-from repro.windows.schedule import Window, align_start, edge_iter, edge_schedule
+from repro.windows.schedule import Window, align_start, edge_schedule
 from repro.windows.disjoint import DisjointWindows
 from repro.windows.sliding import SlidingWindows
 from repro.windows.shrunk import NestedShrunkWindows
@@ -26,7 +26,6 @@ __all__ = [
     "Window",
     "WindowSlice",
     "align_start",
-    "edge_iter",
     "edge_schedule",
     "window_slices",
     "DisjointWindows",

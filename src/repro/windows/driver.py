@@ -45,8 +45,8 @@ class WindowSlice:
     ``start``/``stop`` are packet indices into the trace's columns
     (half-open) and ``bytes`` the window's byte volume — computed once by
     :func:`window_slices` and shared by every consumer (the driver's own
-    reporting loop, the Section 3 experiment, window-aligned stream emission)
-    instead of each recomputing ``searchsorted`` boundaries.
+    reporting loop, the Section 3 experiment) instead of each recomputing
+    ``searchsorted`` boundaries.
     """
 
     window: Window
@@ -152,8 +152,8 @@ class WindowedDetectorDriver:
 
         This is the single place boundaries are computed; :meth:`run`
         consumes it internally, and callers that need offsets (the
-        Section 3 experiment, window-aligned stream emission) share it
-        instead of recomputing ``searchsorted`` per window.
+        Section 3 experiment) share it instead of recomputing
+        ``searchsorted`` per window.
         """
         return window_slices(trace, self.window_size, self.emit_partial)
 

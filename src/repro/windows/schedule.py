@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -42,35 +41,25 @@ def align_start(start: float, end: float) -> tuple[float, float]:
     return start, end
 
 
-def edge_iter(start: float, size: float) -> Iterator[float]:
-    """The unbounded accumulating right-edge schedule from ``start``.
-
-    Edges accumulate (``edge += size``) exactly like the seed's per-packet
-    loop, so every consumer — the windowed driver, window-aligned stream
-    emission — places boundaries bit-identically.
-    """
-    if size <= 0:
-        raise ValueError(f"window size must be positive, got {size}")
-    edge = start + size
-    while True:
-        yield edge
-        edge += size
-
-
 def edge_schedule(
     start: float, end: float, size: float, emit_partial: bool = False
 ) -> list[float]:
     """Right edges of the complete windows covering ``[start, end]``.
 
-    A window is *complete* once the span extends to its right edge; with
-    ``emit_partial`` the first edge past ``end`` (the trailing partial
-    window) is appended too.
+    Edges accumulate from ``start`` (``edge += size``) exactly like the
+    seed's per-packet loop and :class:`repro.stream.EveryTraceSeconds`, so
+    the windowed driver and trace-time stream emission place boundaries
+    bit-identically.  A window is *complete* once the span extends to its
+    right edge; with ``emit_partial`` the first edge past ``end`` (the
+    trailing partial window) is appended too.
     """
+    if size <= 0:
+        raise ValueError(f"window size must be positive, got {size}")
     edges: list[float] = []
-    for edge in edge_iter(start, size):
-        if end < edge:
-            if emit_partial:
-                edges.append(edge)
-            break
+    edge = start + size
+    while edge <= end:
+        edges.append(edge)
+        edge += size
+    if emit_partial:
         edges.append(edge)
     return edges

@@ -159,6 +159,28 @@ class TestCrashRecovery:
             assert frozen["offsets"]["packets"] == 2000
         assert first  # sanity: the first phase emitted at all
 
+    def test_crash_on_the_final_turn_is_recovered_before_run_returns(self):
+        """A kill on the turn that ends the stream is found by the final
+        barrier and recovered, so the tenant's final state (its digest)
+        equals an uncrashed run's."""
+        outcomes = []
+        for kill_turn in (None, 2):
+            with ServeRuntime(workers=1, shards=2,
+                              chunk_size=CHUNK) as runtime:
+                runtime.add_tenant("t", "countmin-hh", SPECS["alpha"],
+                                   emit="500p", phi=PHI,
+                                   max_packets=2 * CHUNK - 100,
+                                   checkpoint_every=2)
+                runtime.on_turn = (
+                    lambda turn: runtime.pool.kill_worker(0)
+                    if turn == kill_turn else None
+                )
+                emissions = [_strip(e) for _, e in runtime.run()]
+                assert len(runtime.recoveries) == (kill_turn is not None)
+                digest = runtime.pipeline("t").detector.state_digest()
+            outcomes.append((emissions, digest))
+        assert outcomes[1] == outcomes[0]
+
 
 class TestPoolMechanics:
     def test_kill_is_detected_on_next_command(self):
@@ -166,11 +188,10 @@ class TestPoolMechanics:
             pool.open_tenant("t", FACTORY)
             assert pool.dead_workers == ()
             pool.kill_worker(0)
-            # A barrier with no in-flight chunks never touches the pipe,
-            # so it cannot notice; the next sync command does.
-            pool.barrier()
+            # Even with no chunk in flight, the next sync point notices:
+            # a barrier checks that every worker is still alive.
             with pytest.raises(WorkerCrashError) as info:
-                pool.query("t", 1.0)
+                pool.barrier()
             assert info.value.worker == 0
             assert pool.dead_workers == (0,)
             # Further commands fail fast instead of hanging on the pipe.

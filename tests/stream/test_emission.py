@@ -6,7 +6,6 @@ import pytest
 from repro.stream import (
     EveryNPackets,
     EveryTraceSeconds,
-    WindowAligned,
     parse_emission_policy,
 )
 
@@ -66,35 +65,20 @@ class TestEveryTraceSeconds:
         clone.load_state_dict(policy.state_dict())
         assert clone.cuts(np.asarray([2.7])) == [(0, 2.0)]
 
-
-class TestWindowAligned:
-    def test_matches_every_trace_seconds_edges(self):
-        ts = np.sort(np.random.default_rng(3).uniform(0, 10, 300))
-        a = EveryTraceSeconds(2.0)
-        b = WindowAligned(2.0)
-        a.start(float(ts[0]))
-        b.start(float(ts[0]))
-        assert a.cuts(ts) == b.cuts(ts)
-
     def test_restore_replays_the_exact_edge_sequence(self):
         ts = np.sort(np.random.default_rng(4).uniform(0, 20, 500))
         half = len(ts) // 2
-        uninterrupted = WindowAligned(1.5)
+        uninterrupted = EveryTraceSeconds(1.5)
         uninterrupted.start(float(ts[0]))
         first = uninterrupted.cuts(ts[:half])
 
-        stopped = WindowAligned(1.5)
+        stopped = EveryTraceSeconds(1.5)
         stopped.start(float(ts[0]))
         assert stopped.cuts(ts[:half]) == first
-        resumed = WindowAligned(1.5)
+        resumed = EveryTraceSeconds(1.5)
         resumed.load_state_dict(stopped.state_dict())
         # Bit-identical edges, not just approximately equal.
         assert resumed.cuts(ts[half:]) == uninterrupted.cuts(ts[half:])
-
-    def test_describe_round_trips(self):
-        policy = parse_emission_policy("window:2.5")
-        assert isinstance(policy, WindowAligned)
-        assert policy.describe() == "window:2.5"
 
 
 class TestParsing:
@@ -103,16 +87,15 @@ class TestParsing:
         seconds = parse_emission_policy("2.5s")
         assert isinstance(seconds, EveryTraceSeconds)
         assert seconds.every_s == 2.5
-        assert isinstance(parse_emission_policy("window:10"), WindowAligned)
 
     def test_describe_round_trips(self):
-        for text in ("5000p", "2.5s", "window:10"):
+        for text in ("5000p", "2.5s"):
             rebuilt = parse_emission_policy(
                 parse_emission_policy(text).describe()
             )
             assert type(rebuilt) is type(parse_emission_policy(text))
 
     def test_bad_spellings_rejected(self):
-        for bad in ("", "10", "p", "-5p", "0p", "0s", "window:", "10x"):
+        for bad in ("", "10", "p", "-5p", "0p", "0s", "window:2", "10x"):
             with pytest.raises(ValueError):
                 parse_emission_policy(bad)

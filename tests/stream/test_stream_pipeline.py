@@ -13,7 +13,6 @@ from repro.stream import (
     ScenarioSource,
     StreamPipeline,
     TraceSource,
-    WindowAligned,
 )
 from repro.trace.spec import build_trace
 from repro.windows import WindowedDetectorDriver
@@ -37,7 +36,7 @@ def _pipeline(name, policy, **kwargs):
 
 class TestEmissions:
     def test_window_aligned_matches_the_offline_driver(self, trace):
-        """Streaming with window-aligned emission reproduces the windowed
+        """Streaming with trace-seconds emission reproduces the windowed
         driver's reports exactly — same boundaries, same thresholds —
         even though chunk boundaries fall wherever they fall."""
         driver = WindowedDetectorDriver(
@@ -46,7 +45,7 @@ class TestEmissions:
         offline = list(driver.run(trace))
 
         pipeline = _pipeline(
-            "spacesaving", WindowAligned(2.0), phi=0.05, emit_partial=False
+            "spacesaving", EveryTraceSeconds(2.0), phi=0.05, emit_partial=False
         )
         online = list(pipeline.process(TraceSource(trace), 1024))
 
@@ -159,8 +158,8 @@ class TestCheckpointResume:
         self, name, trace
     ):
         chunks = list(TraceSource(trace).chunks(1024))
-        expected, _ = _run_uninterrupted(name, chunks, WindowAligned(2.0))
-        got, _ = _run_resumed(name, chunks, 4, lambda: WindowAligned(2.0))
+        expected, _ = _run_uninterrupted(name, chunks, EveryTraceSeconds(2.0))
+        got, _ = _run_resumed(name, chunks, 4, lambda: EveryTraceSeconds(2.0))
         assert len(got) == len(expected)
         for a, b in zip(expected, got):
             assert (a.index, a.window, a.packets, a.bytes, a.start_packet,
@@ -198,7 +197,7 @@ class TestCheckpointResume:
 
         def build():
             return StreamPipeline(
-                ShardedDetector(factory, 3), WindowAligned(2.0), phi=0.02
+                ShardedDetector(factory, 3), EveryTraceSeconds(2.0), phi=0.02
             )
 
         uninterrupted = build()
@@ -219,14 +218,14 @@ class TestCheckpointResume:
         assert [e.report for e in got] == [e.report for e in expected]
 
     def test_restore_rejects_mismatched_policy_or_schema(self, trace):
-        pipeline = _pipeline("countmin-hh", WindowAligned(2.0))
+        pipeline = _pipeline("countmin-hh", EveryTraceSeconds(2.0))
         list(pipeline.process(TraceSource(trace), 4096))
         checkpoint = pipeline.checkpoint()
 
-        other_policy = _pipeline("countmin-hh", WindowAligned(3.0))
+        other_policy = _pipeline("countmin-hh", EveryTraceSeconds(3.0))
         with pytest.raises(CheckpointError, match="policy"):
             other_policy.restore(checkpoint)
-        fresh = _pipeline("countmin-hh", WindowAligned(2.0))
+        fresh = _pipeline("countmin-hh", EveryTraceSeconds(2.0))
         with pytest.raises(CheckpointError, match="artifact"):
             fresh.restore({"schema": "bogus"})
 

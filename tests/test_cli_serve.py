@@ -89,7 +89,7 @@ class TestServeCommand:
         assert code == 2
         assert "'a'" in err
         assert str(path) in err
-        assert "repro-hhh/stream-checkpoint/v1" in err
+        assert "repro-hhh/stream-checkpoint/v2" in err
 
     def test_rejects_unknown_detector(self, capsys):
         code, _ = _run(
