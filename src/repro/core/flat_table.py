@@ -19,7 +19,8 @@ Each detector keeps its per-key state in named numpy columns owned by a
 Capacity discipline: callers never hold more than ``capacity`` live keys,
 and the backing arrays are sized at the next power of two >= 2*capacity,
 so the load factor stays <= 0.5 plus tombstones.  A deterministic in-place
-rebuild clears tombstones before probe chains can degrade.
+rebuild clears tombstones before probe chains can degrade; one rule,
+:meth:`FlatTable.rebuild_due`, says when.
 
 Column arrays are rebuilt *in place* (same ndarray objects) so detectors
 may safely cache references to them; checkpoints encode the table through
@@ -73,11 +74,21 @@ class FlatTable:
         """Boolean mask over slots currently holding a live key."""
         return self.state == _LIVE
 
+    def rebuild_due(self, extra: int = 0) -> bool:
+        """Whether the table rebuilds before its next claims: live keys
+        plus tombstones plus ``extra`` fill more than 3/4 of the slots.
+
+        ``insert`` asks with ``extra=0`` before each claim and
+        ``upsert_batch`` with its ``max_new``; a caller holding column
+        copies asks first, since a rebuild moves column values.
+        """
+        return (len(self.slot_of) + self._tombstones + extra) * 4 > self.size * 3
+
     def insert(self, key: int) -> int:
         """Claim a slot for absent ``key`` and return it (columns zeroed)."""
         if len(self.slot_of) >= self.capacity:
             raise RuntimeError("flat table is at capacity; evict first")
-        if (len(self.slot_of) + self._tombstones) * 4 > self.size * 3:
+        if self.rebuild_due():
             self._rebuild()
         mask = self._mask
         state = self.state
@@ -137,11 +148,7 @@ class FlatTable:
         probed past but never claimed, so live probe chains stay intact.
         """
         n = keys.shape[0]
-        if (
-            max_new > 0
-            and (len(self.slot_of) + self._tombstones + max_new) * 4
-            > self.size * 3
-        ):
+        if max_new > 0 and self.rebuild_due(max_new):
             self._rebuild()
         key_col, state = self.key_col, self.state
         snapshot_keys = key_col.copy()

@@ -17,9 +17,22 @@ key's last-touch frame, and one scatter-add lands the whole group.
 The linear law (not value-linear: its zero floor), unsorted timestamps,
 and chunks older than the table's newest stamp replay the exact scalar
 path instead.
+
+Past the chunk's first eviction the batch path replays packet by packet,
+but evicts in heap order: under exponential decay the order of decayed
+values never changes with time, so a min-heap on ``log(value) +
+stamp/tau`` names each victim without scanning the counters, and the
+victim's inherited value is still computed the way the scan computes it.
+The full scan (``_min_slot``) stays as the scalar reference that scalar
+``update`` runs; where underflow breaks the heap's order, the tail hands
+the rest of its chunk to ``update``.
 """
 
 from __future__ import annotations
+
+import sys
+from heapq import heapify, heappop, heappush, heapreplace
+from math import exp, inf, log
 
 import numpy as np
 
@@ -36,6 +49,21 @@ from repro.decay.laws import DecayLaw, ExponentialDecay
 
 _MASK64 = (1 << 64) - 1
 _SCALAR_CUTOFF = 16
+#: The priority window whose keys an eviction rechecks exactly is
+#: ``_WINDOW * (|p| + _LOG_SPAN)`` wide.  A priority and the scan's decayed
+#: value each round by a few ulps of the terms they sum: ``|log value|``
+#: (<= 745), ``age/tau`` (<= ``_MAX_DECAY``) and ``|stamp/tau|`` (<= ``|p|``
+#: + 745).  The window is ~1000 times that, and also absorbs the rounding
+#: drift that up to ~10^6 zero-weight hits leave on a stale entry.
+_WINDOW = 1e-12
+_LOG_SPAN = 2200.0
+#: Largest ``age/tau`` at which a decay factor ``exp(-age/tau)`` is still
+#: a normal float (it underflows past ~708.4).  Past it the decayed value
+#: of even a huge counter can round to 0, out of priority order: such an
+#: eviction goes to the scan, and such a hit re-pushes its key.
+_MAX_DECAY = 700.0
+#: Smallest normal float: a decayed minimum below it goes to the scan.
+_TINY = sys.float_info.min
 
 
 class DecayedSpaceSaving(Detector):
@@ -90,8 +118,9 @@ class DecayedSpaceSaving(Detector):
         Hits and fresh inserts in the admission-free prefix are grouped per
         key: each contribution decays by its own factor into the key's
         last-touch frame within the chunk, then one scatter-add applies the
-        group.  The eviction tail (and every non-linear-law or reordered
-        chunk) replays the exact scalar path.
+        group.  The eviction tail replays it packet by packet with
+        heap-ordered eviction (:meth:`_replay_tail`); every non-linear-law
+        or reordered chunk replays the exact scalar path.
         """
         keys, weights, ts = as_batch(keys, weights, ts)
         if ts is None:
@@ -175,11 +204,86 @@ class DecayedSpaceSaving(Detector):
                     values[slot] = value
                     stamps[slot] = stamp
         if split < n:
-            update = self.update
-            for key, weight, t in zip(
-                ku[split:].tolist(), w[split:].tolist(), ts[split:].tolist()
-            ):
-                update(key, weight, t)
+            self._replay_tail(ku[split:], w[split:], ts[split:])
+
+    def _replay_tail(self, keys: np.ndarray, weights: np.ndarray,
+                     ts: np.ndarray) -> None:
+        """Replay a chunk's eviction tail packet by packet, evicting in
+        heap order; bit-identical to calling :meth:`update` per packet.
+
+        Called only for the exponential law on sorted timestamps no older
+        than any live stamp, so every hit decays its counter forwards; the
+        prefix filled every free slot, so every miss evicts.  Victims come
+        off a min-heap of ``(priority, key)`` built at the first eviction.
+        Hits leave entries stale, since a hit lowers a priority by no more
+        than rounding unless its decay factor underflows, and
+        :func:`_heap_victim` refreshes them as they surface.  The loop
+        works on Python-float copies of the columns and writes them back
+        before a table rebuild, which moves column values.  An eviction
+        only the scan can decide hands the rest of the chunk to
+        :meth:`update`.
+        """
+        table = self._table
+        values = table.cols["values"]
+        stamps = table.cols["stamps"]
+        slot_of = table.slot_of
+        # Value-linear laws (the ``decay_factor`` hook) are exponential.
+        tau = self.law.tau
+        max_age = _MAX_DECAY * tau
+        vals = values.tolist()
+        sts = stamps.tolist()
+        heap = None
+        oldest = -inf  # never above a live stamp
+        for i, (key, weight, now) in enumerate(
+            zip(keys.tolist(), weights.tolist(), ts.tolist())
+        ):
+            slot = slot_of.get(key, -1)
+            if slot >= 0:
+                # ``update``'s in-order hit: ``law.decay`` then add.  Past
+                # ``max_age`` the factor can underflow and drop the priority
+                # below the key's heap entry, so the key gets a fresh one.
+                age = now - sts[slot]
+                vals[slot] = value = vals[slot] * exp(-age / tau) + weight
+                sts[slot] = now
+                if age > max_age and heap is not None:
+                    heappush(heap, (_priority(value, now, tau), key))
+                continue
+            if heap is None:
+                heap = [(_priority(vals[s], sts[s], tau), k)
+                        for k, s in slot_of.items()]
+                heapify(heap)
+            # Every live factor stays normal while the oldest stamp is
+            # within ``max_age``; ``oldest`` is refreshed once it is not.
+            if now - oldest > max_age:
+                oldest = min(sts[s] for s in slot_of.values())
+            victim = None
+            if now - oldest <= max_age:
+                victim = _heap_victim(heap, slot_of, vals, sts, tau, now)
+            if victim is None:
+                # Only the scan can decide: the reference replays the rest.
+                values[:] = vals
+                stamps[:] = sts
+                update = self.update
+                for key, weight, now in zip(
+                    keys[i:].tolist(), weights[i:].tolist(), ts[i:].tolist()
+                ):
+                    update(key, weight, now)
+                return
+            victim, value = victim
+            table.remove(victim)
+            if table.rebuild_due():
+                values[:] = vals
+                stamps[:] = sts
+                slot = table.insert(key)
+                vals = values.tolist()
+                sts = stamps.tolist()
+            else:
+                slot = table.insert(key)
+            vals[slot] = value = value + weight
+            sts[slot] = now
+            heappush(heap, (_priority(value, now, tau), key))
+        values[:] = vals
+        stamps[:] = sts
 
     def _decayed_values(self, now: float) -> np.ndarray:
         """Every slot's decayed value at ``now`` (garbage in dead slots)."""
@@ -253,6 +357,70 @@ class DecayedSpaceSaving(Detector):
     def num_counters(self) -> int:
         """Counters allocated (for resource accounting)."""
         return self.capacity
+
+
+def _priority(value: float, stamp: float, tau: float) -> float:
+    """``log(value) + stamp/tau``, which orders counters by decayed value
+    at any later time under ``ExponentialDecay(tau)``.  ``-inf`` when the
+    value is not positive or the sum is NaN: such a counter pops first and
+    its eviction goes to the scan."""
+    if value > 0:
+        priority = log(value) + stamp / tau
+        if priority == priority:
+            return priority
+    return -inf
+
+
+def _heap_victim(heap: list, slot_of: dict, vals: list, sts: list,
+                 tau: float, now: float) -> tuple[int, float] | None:
+    """Pop the victim at ``now`` off a heap of ``(priority, key)`` entries.
+
+    Returns the ``(key, decayed value)`` that ``_min_slot(now)`` picks,
+    or ``None`` when only that scan can decide.  Every live key has an
+    entry no higher than its current priority, up to rounding; entries of
+    evicted keys and duplicates are dropped as they surface, stale ones
+    re-pushed.  The candidates are the fresh entries within a rounding
+    window of the minimum.  Each gets its decayed value by the scan's
+    arithmetic (numpy ``exp``: ``math.exp`` can differ in the last bit),
+    and ties break by key; the rest go back on the heap.  The scan
+    decides when the minimum's priority is not finite or its decayed
+    value is zero or subnormal, where underflow ties or reorders counters
+    whose priorities differ; the heap is then incomplete, and the caller
+    drops it.
+    """
+    candidates: dict[int, tuple[float, int]] = {}
+    bound = inf
+    while heap and heap[0][0] <= bound:
+        priority, key = heap[0]
+        slot = slot_of.get(key, -1)
+        if slot < 0 or key in candidates:
+            heappop(heap)
+            continue
+        current = _priority(vals[slot], sts[slot], tau)
+        if current != priority:
+            heapreplace(heap, (current, key))
+            continue
+        heappop(heap)
+        if not candidates:
+            if not -inf < priority < inf:
+                return None
+            bound = priority + _WINDOW * (abs(priority) + _LOG_SPAN)
+        candidates[key] = (priority, slot)
+    best = None
+    for key, (_, slot) in candidates.items():
+        value = vals[slot]
+        age = now - sts[slot]
+        if age > 0:
+            value = value * float(np.exp(-age / tau))
+        if best is None or (value, key) < best:
+            best = (value, key)
+    value, victim = best
+    if value < _TINY:
+        return None
+    for key, (priority, _) in candidates.items():
+        if key != victim:
+            heappush(heap, (priority, key))
+    return victim, value
 
 
 def _decayed_ss_factory(

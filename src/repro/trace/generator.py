@@ -386,10 +386,16 @@ class SyntheticTraceGenerator:
             k = len(group)
             weights = self._rng.lognormal(0.0, cfg.slot_sigma, num_slots)
             weights /= weights.sum()
-            slots = self._rng.choice(num_slots, size=k, p=weights)
-            ts[group] = slot_edges[slots] + self._rng.uniform(
-                0.0, 1.0, k
-            ) * (slot_edges[slots + 1] - slot_edges[slots])
+            # Inverse-CDF slot draws, then in-slot offsets: the same draws
+            # in the same order as ``choice(num_slots, k, p=weights)`` and
+            # ``uniform(0, 1, k)``, without choice's per-call validation.
+            u = self._rng.random(2 * k)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            slots = cdf.searchsorted(u[:k], side="right")
+            ts[group] = slot_edges[slots] + u[k:] * (
+                slot_edges[slots + 1] - slot_edges[slots]
+            )
         np.clip(ts, t0, t1 - 1e-9, out=ts)
         return ts
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.trace.generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from repro.trace.config import (
     RateConfig,
     SyntheticTraceConfig,
 )
+from repro.trace.container import Trace
 from repro.trace.generator import (
     HeavyEpisode,
     SyntheticTraceGenerator,
     generate_trace,
 )
+from repro.trace.spec import TraceSpec
 
 
 class TestDeterminism:
@@ -31,6 +35,34 @@ class TestDeterminism:
         other = replace(tiny_config, seed=tiny_config.seed + 1)
         a, b = generate_trace(tiny_config), generate_trace(other)
         assert len(a) != len(b) or not np.array_equal(a.src, b.src)
+
+
+#: SHA-256 over all seven ``Trace`` columns of each preset, in slot order.
+#: A generator change that is meant to be byte-identical (same draws in the
+#: same order) must leave these pins alone.
+PINNED_DIGESTS = {
+    "caida:day=0,duration=10":
+        "c612996f1c854a731d5fd5f75063b53fc9b071b36b641303dc9a279803b7bbb0",
+    "caida:day=1,duration=10":
+        "2cd928403fe5e192a3ce2ba364d1e1a03fbd51a202fad7ac5e0b621824f46c0f",
+    "caida:day=2,duration=10":
+        "2eceeebc598dd55fa07fb08bba2dc8d958080195a37c168cf55930f8760140a4",
+    "caida:day=3,duration=10":
+        "b2b11387b251a65ab77e9805920833eebb1450567c0b2a0efea58524b922e30d",
+    "sensitivity:duration=10":
+        "7cdba0416a4bb6f116ecaa33b87bd5277fecb3c17e43ff67244d7513db148a84",
+    "drift:duration=10":
+        "f8e77c44d167a9073bb59b09a0568f77a3b2ad8d8607ee17751583749cb813a2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DIGESTS))
+def test_preset_build_is_byte_identical(spec):
+    trace = TraceSpec.parse(spec).build(cache=False)
+    digest = hashlib.sha256()
+    for name in Trace.__slots__:
+        digest.update(np.ascontiguousarray(getattr(trace, name)).tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[spec]
 
 
 class TestStructure:
