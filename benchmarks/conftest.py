@@ -2,10 +2,13 @@
 
 Benchmarks regenerate the paper's artefacts at laptop scale: trace
 durations default to a fraction of the paper's (1 h / 20 min) since the
-effect sizes are duration-stable.  RESULTS_DIR holds the tables: the
-deterministic ones (the paper figures, ablations and extensions) are
-committed goldens that :func:`assert_result` compares byte for byte, and
-the timing tables are rewritten on every run by :func:`write_result`.
+effect sizes are duration-stable.  RESULTS_DIR holds the committed
+tables: the deterministic ones (the paper figures, ablations and
+extensions) are goldens that :func:`assert_result` compares byte for
+byte, and the timing tables are a reference run.  :func:`write_result`
+writes each run's timing tables under the gitignored TIMING_DIR instead,
+so a run leaves the checkout clean; a change that claims a timing number
+copies its tables from there into RESULTS_DIR.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import pytest
 from repro.trace import presets
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TIMING_DIR = Path(__file__).parent.parent / ".benchmarks" / "timing"
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a regenerated (timing) table next to the benchmarks."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(text + "\n")
+    """Persist this run's timing table under TIMING_DIR."""
+    TIMING_DIR.mkdir(parents=True, exist_ok=True)
+    (TIMING_DIR / name).write_text(text + "\n")
     print(f"\n--- {name} ---")
     print(text)
 

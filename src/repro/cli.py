@@ -429,6 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core import read_checkpoint, write_checkpoint
     from repro.engine.serve import ServeError
     from repro.stream import STREAM_CHECKPOINT_SCHEMA, ServeRuntime
+    from repro.stream.churn import serve_row
 
     if args.fast_forward and not args.resume_dir:
         return _fail("--fast-forward needs --resume-dir DIR")
@@ -492,16 +493,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"pkts {emission.packets:>8}  "
                     f"report {len(emission.report):>4}{flag}"
                 )
-                rows.append({
-                    "tenant": name,
-                    "emission": emission.index,
-                    "t0": round(emission.window.t0, 3),
-                    "t1": round(emission.window.t1, 3),
-                    "packets": emission.packets,
-                    "bytes": emission.bytes,
-                    "report_size": len(emission.report),
-                    "partial": emission.partial,
-                })
+                rows.append(serve_row(name, emission))
             print()
             total_packets = 0
             total_bytes = 0

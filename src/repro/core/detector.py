@@ -40,6 +40,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+#: Batches shorter than this replay scalar ``update`` instead of taking a
+#: detector's vectorized path, whose per-call set-up they cannot amortize.
+_SCALAR_CUTOFF = 16
+
 
 def as_uint64_keys(keys: np.ndarray) -> np.ndarray:
     """Canonicalise a key column for vectorized hashing.

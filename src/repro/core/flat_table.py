@@ -9,12 +9,12 @@ Each detector keeps its per-key state in named numpy columns owned by a
   open addressing and tombstones,
 - a vectorized ``lookup_batch`` that resolves a whole key column to slot
   indices in a handful of probe rounds, and
-- :func:`plan_batch`, which splits an incoming chunk at the first packet
-  that could trigger an eviction: everything before the split point is
-  admission-free (tracked-key hits plus inserts into guaranteed-free
-  slots) and can be applied with scatter-adds in any order, while the
-  remainder is replayed through the detector's scalar ``update`` so
-  eviction order stays exactly the scalar algorithm's.
+- :func:`admit_batch`, which claims slots for a chunk's admission-free
+  prefix: everything before the first packet that could trigger an
+  eviction (tracked-key hits plus inserts into guaranteed-free slots)
+  resolves to a slot and can be applied with scatter-adds in any order,
+  while the remainder is replayed through the detector's scalar
+  ``update`` so eviction order stays exactly the scalar algorithm's.
 
 Capacity discipline: callers never hold more than ``capacity`` live keys,
 and the backing arrays are sized at the next power of two >= 2*capacity,
@@ -131,16 +131,13 @@ class FlatTable:
                 col[slot] = snapshot[name][old_slot]
             self.slot_of[key] = slot
 
-    def upsert_batch(
-        self, keys: np.ndarray, max_new: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    def upsert_batch(self, keys: np.ndarray, max_new: int) -> np.ndarray | None:
         """Resolve every key to a slot, claiming empty slots for new keys.
 
-        Returns ``(slots, claimed)`` — per-packet slot indices plus the
-        newly claimed slots (their columns zeroed) — when the chunk's
-        distinct new keys fit within ``max_new`` free slots.  Otherwise the
-        table is rolled back untouched and ``None`` is returned so the
-        caller can take the split/replay path instead.
+        Returns the per-packet slot indices (claimed slots have their
+        columns zeroed) when the chunk's distinct new keys fit within
+        ``max_new`` free slots.  Otherwise the table is rolled back
+        untouched and ``None`` is returned.
 
         Claim rounds piggyback on the probe rounds: a lane that reaches an
         EMPTY slot is definitively absent and tries to claim it in place
@@ -217,7 +214,7 @@ class FlatTable:
             self.slot_of.update(
                 zip(key_col[claimed].tolist(), claimed.tolist())
             )
-        return slots, claimed
+        return slots
 
     def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
         """Resolve a uint64 key column to slot indices (-1 for untracked).
@@ -252,37 +249,48 @@ class FlatTable:
         self._tombstones = 0
 
 
-def plan_batch(table: FlatTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
+def plan_batch(table: FlatTable, keys: np.ndarray) -> int:
     """Split a chunk into an admission-free prefix and a scalar tail.
 
-    Returns ``(slots, split)`` where ``slots`` is ``lookup_batch`` over the
-    whole chunk and packets ``[0, split)`` are guaranteed not to trigger an
-    eviction: the number of *distinct* untracked keys in the prefix fits in
-    the table's free slots.  Before the split point, hit scatter-adds and
-    bulk inserts commute, so a vectorized application is exactly equivalent
-    to the scalar replay; from ``split`` on the caller must replay packets
-    through scalar ``update``.
+    Returns ``split``: packets ``[0, split)`` are guaranteed not to
+    trigger an eviction, since the number of *distinct* untracked keys in
+    the prefix fits in the table's free slots.  Before the split point,
+    hit scatter-adds and bulk inserts commute, so a vectorized application
+    is exactly equivalent to the scalar replay; from ``split`` on the
+    caller must replay packets through scalar ``update``.
     """
-    slots = table.lookup_batch(keys)
     n = keys.shape[0]
-    miss_pos = np.flatnonzero(slots < 0)
+    miss_pos = np.flatnonzero(table.lookup_batch(keys) < 0)
     slack = table.capacity - len(table)
     if miss_pos.size == 0:
-        return slots, n
+        return n
     _, first = np.unique(keys[miss_pos], return_index=True)
     if first.size <= slack:
-        return slots, n
+        return n
     # Position of the (slack+1)-th distinct new key: the first packet that
     # could force an eviction.
     first_pos = np.sort(miss_pos[first])
-    return slots, int(first_pos[slack])
+    return int(first_pos[slack])
 
 
-def group_sums(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate a (key, weight) column pair: unique keys and summed weights."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights, minlength=uniq.size)
-    return uniq, sums
+def admit_batch(table: FlatTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Claim slots for a chunk's admission-free prefix.
+
+    Returns ``(slots, split)``: packets ``[0, split)`` resolve to
+    ``slots``, tracked keys to their own slots and the prefix's new keys to
+    freshly claimed ones (columns zeroed, claimed in slot order), so the
+    caller lands the prefix with one scatter and replays packets from
+    ``split`` on through scalar ``update``.  The whole chunk is the prefix
+    when its distinct new keys fit the free slots; otherwise
+    :func:`plan_batch` places the split, before which they fit by
+    construction.
+    """
+    free = table.capacity - len(table)
+    slots = table.upsert_batch(keys, free)
+    if slots is not None:
+        return slots, keys.shape[0]
+    split = plan_batch(table, keys)
+    return table.upsert_batch(keys[:split], free), split
 
 
 def grouped_cumsum(groups: np.ndarray, values: np.ndarray) -> np.ndarray:

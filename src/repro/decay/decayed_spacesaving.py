@@ -37,18 +37,18 @@ from math import exp, inf, log
 import numpy as np
 
 from repro.core.detector import (
+    _MASK64,
+    _SCALAR_CUTOFF,
     Detector,
     as_batch,
     as_uint64_keys,
     ensure_nonnegative_weights,
 )
-from repro.core.flat_table import FlatTable, plan_batch
+from repro.core.flat_table import FlatTable, admit_batch
 from repro.core.registry import AccuracyFloor, register_detector
 from repro.decay.laws import DecayLaw, ExponentialDecay
 
 
-_MASK64 = (1 << 64) - 1
-_SCALAR_CUTOFF = 16
 #: The priority window whose keys an eviction rechecks exactly is
 #: ``_WINDOW * (|p| + _LOG_SPAN)`` wide.  A priority and the scan's decayed
 #: value each round by a few ulps of the terms they sum: ``|log value|``
@@ -116,9 +116,9 @@ class DecayedSpaceSaving(Detector):
         """Vectorized chunk update for value-linear laws.
 
         Hits and fresh inserts in the admission-free prefix are grouped per
-        key: each contribution decays by its own factor into the key's
+        slot: each contribution decays by its own factor into the key's
         last-touch frame within the chunk, then one scatter-add applies the
-        group.  The eviction tail replays it packet by packet with
+        group.  The eviction tail replays packet by packet with
         heap-ordered eviction (:meth:`_replay_tail`); every non-linear-law
         or reordered chunk replays the exact scalar path.
         """
@@ -143,66 +143,26 @@ class DecayedSpaceSaving(Detector):
             # per-counter; keep the exact scalar path.
             super().update_batch(ku, w, ts)
             return
-        # Eviction-free fast path: every key resolves to a slot (new keys
-        # claim free ones), then one slot-grouped decay-and-add pass lands
-        # the whole chunk.  Each slot's frame is its last packet's ts
-        # (sorted ts: the trailing fancy-assignment write is the newest).
-        resolved = table.upsert_batch(ku, self.capacity - len(table))
-        if resolved is not None:
-            slots, _ = resolved
+        # One slot-grouped decay-and-add pass lands the admission-free
+        # prefix.  Each slot's frame is its last packet's ts (sorted ts:
+        # the trailing fancy-assignment write is the newest).  A slot
+        # claimed here holds value 0 at stamp 0, so its age is clipped at
+        # 0 rather than read as a factor that overflows for ts < -709 tau.
+        slots, split = admit_batch(table, ku)
+        if split:
+            prefix_ts = ts[:split]
             last_ts = np.zeros(table.size, dtype=np.float64)
-            last_ts[slots] = ts
+            last_ts[slots] = prefix_ts
             contrib = np.bincount(
-                slots, weights=w * factor(last_ts[slots] - ts),
+                slots, weights=w[:split] * factor(last_ts[slots] - prefix_ts),
                 minlength=table.size,
             )
             touched = np.zeros(table.size, dtype=bool)
             touched[slots] = True
             us = np.flatnonzero(touched)
-            values[us] = (
-                values[us] * factor(last_ts[us] - stamps[us]) + contrib[us]
-            )
+            ages = np.maximum(last_ts[us] - stamps[us], 0.0)
+            values[us] = values[us] * factor(ages) + contrib[us]
             stamps[us] = last_ts[us]
-            return
-        slots, split = plan_batch(table, ku)
-        if split:
-            prefix_slots = slots[:split]
-            prefix_w = w[:split]
-            prefix_ts = ts[:split]
-            hits = prefix_slots >= 0
-            if hits.any():
-                order = np.argsort(prefix_slots[hits], kind="stable")
-                gslot = prefix_slots[hits][order]
-                gw = prefix_w[hits][order]
-                gt = prefix_ts[hits][order]
-                starts = np.r_[True, gslot[1:] != gslot[:-1]]
-                gid = np.cumsum(starts) - 1
-                ends = np.r_[starts[1:], True]
-                uslots = gslot[ends]
-                frame = gt[ends]  # per-key last-touch ts within the chunk
-                contrib = np.bincount(gid, weights=gw * factor(frame[gid] - gt))
-                values[uslots] = (
-                    values[uslots] * factor(frame - stamps[uslots]) + contrib
-                )
-                stamps[uslots] = frame
-            if not hits.all():
-                miss = ~hits
-                order = np.argsort(ku[:split][miss], kind="stable")
-                gkey = ku[:split][miss][order]
-                gw = prefix_w[miss][order]
-                gt = prefix_ts[miss][order]
-                starts = np.r_[True, gkey[1:] != gkey[:-1]]
-                gid = np.cumsum(starts) - 1
-                ends = np.r_[starts[1:], True]
-                fresh_values = np.bincount(
-                    gid, weights=gw * factor(gt[ends][gid] - gt)
-                )
-                for key, value, stamp in zip(
-                    gkey[ends].tolist(), fresh_values.tolist(), gt[ends].tolist()
-                ):
-                    slot = table.insert(key)
-                    values[slot] = value
-                    stamps[slot] = stamp
         if split < n:
             self._replay_tail(ku[split:], w[split:], ts[split:])
 

@@ -21,11 +21,9 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.detector import Detector, as_batch
+from repro.core.detector import _SCALAR_CUTOFF, Detector, as_batch
 from repro.core.registry import AccuracyFloor, register_detector
 from repro.sketch.spacesaving import SpaceSaving
-
-_SCALAR_CUTOFF = 16
 
 
 class SlidingWindowSpaceSaving(Detector):

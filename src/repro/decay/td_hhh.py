@@ -23,24 +23,22 @@ RHHH trick carried over to continuous time).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.detector import (
-    Detector,
+    _SCALAR_CUTOFF,
     as_batch,
     as_uint64_keys,
     ensure_nonnegative_weights,
 )
 from repro.core.registry import register_detector
-from repro.hashing.mixers import splitmix64, splitmix64_array
 from repro.decay.decayed_counter import DecayedCounter
 from repro.decay.decayed_spacesaving import DecayedSpaceSaving
 from repro.decay.laws import DecayLaw, ExponentialDecay
-from repro.hhh.exact_hhh import HHHItem, HHHResult
+from repro.hhh.exact_hhh import HHHResult
 from repro.hierarchy.domain import SourceHierarchy
+from repro.sketch.rhhh import LevelSampledHHH
 
 
-class TimeDecayingHHH(Detector):
+class TimeDecayingHHH(LevelSampledHHH):
     """Continuous-time hierarchical heavy-hitter detector.
 
     The batch path draws the whole level-sampling column at once (a
@@ -59,29 +57,13 @@ class TimeDecayingHHH(Detector):
         sample_levels: bool = False,
         seed: int = 0,
     ) -> None:
-        self.law = law or ExponentialDecay(tau=10.0)
-        self.hierarchy = hierarchy or SourceHierarchy()
-        if counters_per_level < 1:
-            raise ValueError(
-                f"counters_per_level must be >= 1, got {counters_per_level}"
-            )
-        self.counters_per_level = counters_per_level
-        self.seed = seed
-        self._levels = [
-            DecayedSpaceSaving(counters_per_level, self.law)
-            for _ in range(self.hierarchy.num_levels)
-        ]
-        self._total = DecayedCounter(self.law)
-        self.sample_levels = sample_levels
-        self._sbase = splitmix64(seed ^ 0x9E3779B97F4A7C15)
-        self._draws = 0
+        self.law = law = law or ExponentialDecay(tau=10.0)
+        super().__init__(
+            hierarchy, counters_per_level, seed, sample_levels,
+            lambda capacity: DecayedSpaceSaving(capacity, law),
+        )
+        self._total = DecayedCounter(law)
         self.packets = 0
-
-    def _draw_level(self) -> int:
-        """Next level in the deterministic sampling stream."""
-        level = splitmix64(self._sbase + self._draws) % self.hierarchy.num_levels
-        self._draws += 1
-        return level
 
     def update(self, key: int, weight: float = 1,
                ts: float | None = None) -> None:
@@ -91,14 +73,7 @@ class TimeDecayingHHH(Detector):
                             "timestamp 'ts'")
         self.packets += 1
         self._total.add(weight, ts)
-        if self.sample_levels:
-            level = self._draw_level()
-            value = self.hierarchy.generalize(key, level)
-            self._levels[level].update(key=value, weight=weight, ts=ts)
-        else:
-            for level in range(self.hierarchy.num_levels):
-                value = self.hierarchy.generalize(key, level)
-                self._levels[level].update(key=value, weight=weight, ts=ts)
+        self._fan_out(key, weight, ts)
 
     def update_batch(self, keys, weights=None, ts=None) -> None:
         """Vectorized chunk update: one total-counter batch add plus a
@@ -110,35 +85,14 @@ class TimeDecayingHHH(Detector):
         n = keys.shape[0]
         if n == 0:
             return
-        if n < 16:
+        if n < _SCALAR_CUTOFF:
             super().update_batch(keys, weights, ts)
             return
         ku = as_uint64_keys(keys)
         w = ensure_nonnegative_weights(weights)
-        num_levels = self.hierarchy.num_levels
         self.packets += n
         self._total.add_batch(w, ts)
-        if self.sample_levels:
-            draws = np.arange(
-                self._draws, self._draws + n, dtype=np.uint64
-            ) + np.uint64(self._sbase)
-            levels = splitmix64_array(draws) % np.uint64(num_levels)
-            self._draws += n
-            for level in range(num_levels):
-                chosen = levels == level
-                if chosen.any():
-                    self._levels[level].update_batch(
-                        self.hierarchy.generalize_array(ku[chosen], level),
-                        w[chosen], ts[chosen],
-                    )
-        else:
-            for level in range(num_levels):
-                self._levels[level].update_batch(
-                    self.hierarchy.generalize_array(ku, level), w, ts
-                )
-
-    def _scale(self) -> float:
-        return float(self.hierarchy.num_levels) if self.sample_levels else 1.0
+        self._fan_out_batch(ku, w, ts)
 
     def decayed_total(self, now: float) -> float:
         """Decayed total byte volume at ``now`` (the threshold base)."""
@@ -171,38 +125,21 @@ class TimeDecayingHHH(Detector):
         """HHHs at time ``now`` with an absolute decayed-byte threshold."""
         if threshold <= 0:
             return HHHResult((), max(threshold, 0.0), int(total_bytes), phi)
-        hierarchy = self.hierarchy
-        scale = self._scale()
-        items: list[HHHItem] = []
-        declared: list[tuple[int, float]] = []  # (value, conditioned volume)
-        for level in range(hierarchy.num_levels):
-            for value, decayed in self._levels[level].items(now).items():
-                estimate = decayed * scale
-                discount = sum(
-                    volume
-                    for masked, volume in declared
-                    if hierarchy.generalize(masked, level) == value
-                )
-                conditioned = estimate - discount
-                if conditioned >= threshold:
-                    prefix = hierarchy.prefix_at(value, level)
-                    items.append(HHHItem(prefix, int(conditioned)))
-                    declared.append((value, conditioned))
-        items.sort()
-        return HHHResult(tuple(items), threshold, int(total_bytes), phi)
+        items = self._extract(
+            (summary.items(now) for summary in self._levels), threshold
+        )
+        return HHHResult(items, threshold, int(total_bytes), phi)
 
     def reset(self) -> None:
         """Reset every level, the total, and rewind the sampling stream."""
-        for level in self._levels:
-            level.reset()
+        super().reset()
         self._total = DecayedCounter(self.law)
-        self._draws = 0
         self.packets = 0
 
     @property
     def num_counters(self) -> int:
         """Counters across levels plus the total (resource accounting)."""
-        return sum(level.num_counters for level in self._levels) + 1
+        return super().num_counters + 1
 
 
 register_detector(

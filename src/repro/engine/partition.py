@@ -7,10 +7,11 @@ columnar (:func:`shard_ids`) routing are bit-exact twins, mirroring the
 scalar/vectorized hash pairs in :mod:`repro.hashing` — a key lands on the
 same shard whether it arrives through ``update`` or ``update_batch``.
 
-:func:`partition_batch` splits one columnar batch into per-shard columnar
-sub-batches with a single stable argsort + ``np.take`` gather, so each
-shard's slice stays time-sorted and contiguous and ``update_batch`` keeps
-its vectorized fast path per shard.
+:func:`shard_order` groups one columnar batch's rows by shard with a
+single stable argsort, so each shard's slice stays time-sorted and
+contiguous and ``update_batch`` keeps its vectorized fast path per shard;
+:func:`partition_batch` (the sharded engine) and the serve pool's
+shared-memory handoff both cut their per-shard slices from it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,29 @@ def shard_ids(keys: np.ndarray, num_shards: int) -> np.ndarray:
     return (mixed % np.uint64(num_shards)).astype(np.int64)
 
 
+def shard_order(
+    keys: np.ndarray, num_shards: int
+) -> tuple[np.ndarray | None, list[int]]:
+    """Group a key column's rows by shard: ``(order, bounds)``.
+
+    ``order`` is the stable permutation that sorts rows by shard id, so
+    each shard's rows stay in their relative (time) order; shard ``s``
+    owns rows ``bounds[s]:bounds[s + 1]`` of the permuted columns.
+    ``order`` is ``None`` when the rows are grouped already: one shard,
+    or a chunk whose every key routes to one shard, which skips the
+    argsort gather.
+    """
+    n = len(keys)
+    if num_shards == 1:
+        return None, [0, n]
+    ids = shard_ids(keys, num_shards)
+    if n and bool((ids == ids[0]).all()):
+        target = int(ids[0])
+        return None, [0] * (target + 1) + [n] * (num_shards - target)
+    order = np.argsort(ids, kind="stable")
+    return order, np.searchsorted(ids[order], np.arange(num_shards + 1)).tolist()
+
+
 def partition_batch(
     keys: np.ndarray,
     weights: np.ndarray,
@@ -50,36 +74,19 @@ def partition_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Split aligned columns into ``num_shards`` per-shard column triples.
 
-    Rows keep their relative (time) order within each shard — the sort on
-    shard id is stable — so per-shard sub-batches remain valid time-sorted
-    batches.  Keys keep their original dtype (object columns included);
-    only the routing hash canonicalises to uint64.
+    Rows are grouped by :func:`shard_order`, so per-shard sub-batches
+    remain valid time-sorted batches; a shard that owns every row gets
+    the original columns.  Keys keep their original dtype (object columns
+    included); only the routing hash canonicalises to uint64.
     """
     keys = np.asarray(keys)
-    if num_shards == 1:
-        return [(keys, weights, ts)]
-    ids = shard_ids(keys, num_shards)
-    if len(ids) and bool((ids == ids[0]).all()):
-        # Every key routes to one shard: skip the argsort gather and hand
-        # that shard the original columns (empty slices elsewhere).
-        target = int(ids[0])
-        empty_ts = None if ts is None else ts[:0]
-        return [
-            (keys, weights, ts) if s == target
-            else (keys[:0], weights[:0], empty_ts)
-            for s in range(num_shards)
-        ]
-    order = np.argsort(ids, kind="stable")
-    keys_sorted = np.take(keys, order)
-    weights_sorted = np.take(weights, order)
-    ts_sorted = None if ts is None else np.take(ts, order)
-    bounds = np.searchsorted(ids[order], np.arange(num_shards + 1))
-    parts = []
-    for s in range(num_shards):
-        i, j = int(bounds[s]), int(bounds[s + 1])
-        parts.append((
-            keys_sorted[i:j],
-            weights_sorted[i:j],
-            None if ts_sorted is None else ts_sorted[i:j],
-        ))
-    return parts
+    order, bounds = shard_order(keys, num_shards)
+    if order is not None:
+        keys, weights = np.take(keys, order), np.take(weights, order)
+        ts = None if ts is None else np.take(ts, order)
+    n = len(keys)
+    return [
+        (keys, weights, ts) if j - i == n
+        else (keys[i:j], weights[i:j], None if ts is None else ts[i:j])
+        for i, j in zip(bounds, bounds[1:])
+    ]

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.detector import Detector, as_batch
-from repro.engine.partition import shard_ids
+from repro.engine.partition import shard_order
 from repro.engine.sharded import pack_shards, unpack_shards
 from repro.engine.shm import ChunkRing
 
@@ -505,34 +505,16 @@ class ServePool:
         n = len(keys)
         if n == 0:
             return
-        num_shards = self.num_shards
+        order, bounds = shard_order(keys, self.num_shards)
+        if order is not None:
+            keys, weights = keys[order], weights[order]
+            ts = None if ts is None else ts[order]
         slot = self._acquire_slot()
         kview, wview, tview = self.ring.views(slot, n)
-        if num_shards == 1:
-            bounds = [0, n]
-            kview[:] = keys
-            wview[:] = weights
-            if ts is not None:
-                tview[:] = ts
-        else:
-            ids = shard_ids(keys, num_shards)
-            first = int(ids[0])
-            if bool((ids == first).all()):
-                # Single-destination chunk: skip the argsort gather.
-                bounds = [0] * (first + 1) + [n] * (num_shards - first)
-                kview[:] = keys
-                wview[:] = weights
-                if ts is not None:
-                    tview[:] = ts
-            else:
-                order = np.argsort(ids, kind="stable")
-                kview[:] = keys[order]
-                wview[:] = weights[order]
-                if ts is not None:
-                    tview[:] = ts[order]
-                bounds = np.searchsorted(
-                    ids[order], np.arange(num_shards + 1)
-                ).tolist()
+        kview[:] = keys
+        wview[:] = weights
+        if ts is not None:
+            tview[:] = ts
         msg = ("update", tenant, slot, bounds, n, ts is not None)
         crash: WorkerCrashError | None = None
         for w in range(self.num_workers):

@@ -118,17 +118,12 @@ class ServeRecovery(Experiment):
             key=self.bound_params["key"],
             timestamped=spec.timestamped,
         )
-        emissions: list[Emission] = []
-        remaining = self.bound_params["max_packets"]
-        for chunk in source.chunks(self.bound_params["chunk"]):
-            if len(chunk) > remaining:
-                chunk = chunk.slice_index(0, remaining)
-            remaining -= len(chunk)
-            emissions.extend(pipeline.push(chunk))
-            if remaining <= 0:
-                break
-        emissions.extend(pipeline.finish())
-        return [_strip(e) for e in emissions]
+        return [
+            _strip(e) for e in pipeline.process(
+                source, self.bound_params["chunk"],
+                self.bound_params["max_packets"],
+            )
+        ]
 
     def run(self, trace: Trace, label: str = "trace") -> ExperimentResult:
         from repro.stream.source import TraceSource

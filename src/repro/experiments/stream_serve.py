@@ -30,6 +30,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult, TraceProvenance
+from repro.stream.churn import serve_row
 from repro.stream.emission import parse_emission_policy
 from repro.stream.serve import ServeRuntime
 from repro.trace.container import Trace
@@ -120,16 +121,7 @@ class StreamServe(Experiment):
             t0 = time.perf_counter()
             for tenant, emission in runtime.run():
                 num_emissions += 1
-                rows.append({
-                    "tenant": tenant,
-                    "emission": emission.index,
-                    "t0": round(emission.window.t0, 3),
-                    "t1": round(emission.window.t1, 3),
-                    "packets": emission.packets,
-                    "bytes": emission.bytes,
-                    "report_size": len(emission.report),
-                    "partial": emission.partial,
-                })
+                rows.append(serve_row(tenant, emission))
             wall = time.perf_counter() - t0
             if runtime.failed:
                 raise ExperimentError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.detector import (
+    _SCALAR_CUTOFF,
     Detector,
     as_batch,
     as_uint64_keys,
@@ -27,8 +28,6 @@ from repro.core.detector import (
 from repro.core.flat_table import grouped_cumsum
 from repro.core.registry import AccuracyFloor, register_detector
 from repro.hashing.families import HashFamily, pairwise_indep_family
-
-_SCALAR_CUTOFF = 16
 
 
 class CountMinSketch(Detector):

@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.detector import (
+    _MASK64,
+    _SCALAR_CUTOFF,
     Detector,
     as_batch,
     as_uint64_keys,
@@ -37,9 +39,6 @@ from repro.core.detector import (
 )
 from repro.core.registry import AccuracyFloor, register_detector
 from repro.hashing.families import HashFamily, pairwise_indep_family
-
-_MASK64 = (1 << 64) - 1
-_SCALAR_CUTOFF = 16
 
 
 class HashPipe(Detector):

@@ -5,60 +5,30 @@ estimate *underestimates* by at most N/(capacity+1).  Weighted updates
 decrement all counters by the smallest amount that frees a slot, which keeps
 the classic guarantee for byte-weighted streams.
 
-Counters live in a :class:`repro.core.flat_table.FlatTable` (float64
-``counts`` column).  The batch path applies the admission-free prefix of
-each chunk — tracked-key hits and inserts into guaranteed-free slots —
-fully vectorized, and replays the remainder through scalar ``update`` so
-decrement cascades run in exact packet order.
+Counters, batch admission and reporting are the shared
+:class:`repro.sketch.counter_table.CounterTable`; this module adds the
+decrement rule, which the batch path replays in exact packet order.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.detector import (
-    Detector,
-    as_batch,
-    as_uint64_keys,
-    ensure_nonnegative_weights,
-)
-from repro.core.flat_table import FlatTable, group_sums, plan_batch
+from repro.core.detector import _MASK64, Detector
 from repro.core.registry import AccuracyFloor, register_detector
+from repro.sketch.counter_table import CounterTable
 
 
-_MASK64 = (1 << 64) - 1
-_SCALAR_CUTOFF = 16
-
-
-class MisraGries(Detector):
+class MisraGries(CounterTable):
     """Fixed-capacity frequent-items summary with one-sided underestimates."""
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._table = FlatTable(capacity, {"counts": np.float64})
-        self.total = 0
+        super().__init__(capacity)
         self.decremented = 0
 
-    def update(self, key: int, weight: float = 1, ts: float = 0.0) -> None:
-        """Account ``weight`` for ``key``."""
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
-        self.total += weight
-        key = int(key) & _MASK64
+    def _full_miss(self, key: int, weight: float) -> None:
+        """Decrement everyone by the amount that exhausts either the new
+        key's weight or the smallest existing counter."""
         table = self._table
         counts = table.cols["counts"]
-        slot = table.slot_of.get(key, -1)
-        if slot >= 0:
-            counts[slot] += weight
-            return
-        if len(table) < self.capacity:
-            slot = table.insert(key)
-            counts[slot] = weight
-            return
-        # Table full: decrement everyone by the amount that exhausts either
-        # the new key's weight or the smallest existing counter.
         live = table.live_mask
         min_count = float(counts[live].min())
         dec = min(weight, min_count)
@@ -72,79 +42,15 @@ class MisraGries(Detector):
             slot = table.insert(key)
             counts[slot] = remaining
 
-    def update_batch(self, keys, weights=None, ts=None) -> None:
-        """Vectorized chunk update: scatter the cascade-free prefix, replay
-        the tail through scalar ``update``."""
-        keys, weights, _ = as_batch(keys, weights, ts)
-        n = keys.shape[0]
-        if n == 0:
-            return
-        if n < _SCALAR_CUTOFF:
-            super().update_batch(keys, weights)
-            return
-        ku = as_uint64_keys(keys)
-        w = ensure_nonnegative_weights(weights).astype(np.float64)
-        table = self._table
-        # Cascade-free fast path: every key resolves to a slot (new keys
-        # claim free ones), then one scatter-add lands the whole chunk.
-        resolved = table.upsert_batch(ku, self.capacity - len(table))
-        if resolved is not None:
-            slots, _ = resolved
-            table.cols["counts"] += np.bincount(
-                slots, weights=w, minlength=table.size
-            )
-            self.total += w.sum().item()
-            return
-        slots, split = plan_batch(table, ku)
-        if split:
-            prefix_slots = slots[:split]
-            prefix_w = w[:split]
-            hits = prefix_slots >= 0
-            if hits.any():
-                table.cols["counts"] += np.bincount(
-                    prefix_slots[hits], weights=prefix_w[hits], minlength=table.size
-                )
-            if not hits.all():
-                miss = ~hits
-                new_keys, sums = group_sums(ku[:split][miss], prefix_w[miss])
-                counts = table.cols["counts"]
-                for key, count in zip(new_keys.tolist(), sums.tolist()):
-                    slot = table.insert(key)
-                    counts[slot] = count
-            self.total += prefix_w.sum().item()
-        if split < n:
-            update = self.update
-            for key, weight in zip(ku[split:].tolist(), w[split:].tolist()):
-                update(key, weight)
-
     def estimate(self, key: int) -> float:
         """Underestimate of ``key``'s count (0 when untracked)."""
         key = int(key) & _MASK64
         slot = self._table.slot_of.get(key, -1)
         return float(self._table.cols["counts"][slot]) if slot >= 0 else 0
 
-    def query(
-        self, threshold: float, now: float | None = None
-    ) -> dict[int, float]:
-        """Tracked keys whose (under)estimate reaches ``threshold``."""
-        counts = self._table.cols["counts"]
-        return {
-            key: float(counts[slot])
-            for key, slot in self._table.slot_of.items()
-            if counts[slot] >= threshold
-        }
-
-    def items(self) -> dict[int, float]:
-        """A copy of the live counter table."""
-        counts = self._table.cols["counts"]
-        return {
-            key: float(counts[slot]) for key, slot in self._table.slot_of.items()
-        }
-
     def reset(self) -> None:
         """Drop all counters."""
-        self._table.clear()
-        self.total = 0
+        super().reset()
         self.decremented = 0
 
     def merge(self, other: "Detector") -> None:
@@ -170,14 +76,6 @@ class MisraGries(Detector):
             counts[slot] = count
         self.total += other.total
         self.decremented += other.decremented
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def num_counters(self) -> int:
-        """Counters allocated (for resource accounting)."""
-        return self.capacity
 
 
 register_detector(

@@ -11,7 +11,7 @@ Level draws come from a counter-indexed splitmix64 stream: draw ``i`` is
 under the seed, identical whether packets arrive one at a time or as a
 columnar batch, and vectorizes — the batch path materialises the level
 column for the whole chunk and fans each level's packets into that level's
-Space-Saving batch update.
+summary batch update.
 
 At query time, HHHs are extracted bottom-up with conditioned counts: a
 prefix's estimate is discounted by the scaled estimates of the HHHs already
@@ -19,13 +19,21 @@ declared below it, mirroring the exact semantics of
 :class:`repro.hhh.ExactHHH` (we omit the paper's Z-score confidence
 correction; with byte weights and laptop-scale streams the plain estimator
 is the behaviourally relevant part).
+
+:class:`LevelSampledHHH` holds this structure — per-level summaries, the
+sampler, the fan-out and the extraction — for RHHH and for the
+time-decaying detector (:class:`repro.decay.TimeDecayingHHH`), which keeps
+a decayed summary per level.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Mapping
+
 import numpy as np
 
 from repro.core.detector import (
+    _SCALAR_CUTOFF,
     Detector,
     as_batch,
     as_uint64_keys,
@@ -38,23 +46,22 @@ from repro.hierarchy.domain import SourceHierarchy
 from repro.sketch.spacesaving import SpaceSaving
 
 
-_SCALAR_CUTOFF = 16
+class LevelSampledHHH(Detector):
+    """One summary per hierarchy level, fed every level or one sampled
+    level per packet, with HHHs extracted bottom-up on conditioned counts.
 
-
-def _sampler_base(seed: int) -> int:
-    """Stream base for the counter-indexed level sampler."""
-    return splitmix64(seed ^ 0x9E3779B97F4A7C15)
-
-
-class RHHH(Detector):
-    """Per-level Space-Saving with randomised level updates."""
+    Subclasses keep their own totals and query API; ``update`` and
+    ``update_batch`` hand each packet to :meth:`_fan_out` /
+    :meth:`_fan_out_batch`.
+    """
 
     def __init__(
         self,
-        hierarchy: SourceHierarchy | None = None,
-        counters_per_level: int = 256,
-        seed: int = 0,
-        sample_levels: bool = True,
+        hierarchy: SourceHierarchy | None,
+        counters_per_level: int,
+        seed: int,
+        sample_levels: bool,
+        summary: Callable[[int], Detector],
     ) -> None:
         self.hierarchy = hierarchy or SourceHierarchy()
         if counters_per_level < 1:
@@ -64,14 +71,12 @@ class RHHH(Detector):
         self.counters_per_level = counters_per_level
         self.seed = seed
         self._levels = [
-            SpaceSaving(counters_per_level)
+            summary(counters_per_level)
             for _ in range(self.hierarchy.num_levels)
         ]
-        self._sbase = _sampler_base(seed)
+        self._sbase = splitmix64(seed ^ 0x9E3779B97F4A7C15)
         self._draws = 0
         self.sample_levels = sample_levels
-        self.total = 0
-        self.updates = 0
 
     def _draw_level(self) -> int:
         """Next level in the deterministic sampling stream."""
@@ -79,80 +84,64 @@ class RHHH(Detector):
         self._draws += 1
         return level
 
-    def update(self, key: int, weight: float = 1, ts: float = 0.0) -> None:
-        """Account one packet (updates one sampled level, or all levels when
-        ``sample_levels`` is off)."""
-        self.total += weight
+    def _fan_out(self, key: int, weight: float, ts: float | None) -> int:
+        """Update the sampled level's summary (every level's when sampling
+        is off) with ``key`` generalized; returns the summaries updated."""
+        hierarchy = self.hierarchy
         if self.sample_levels:
             level = self._draw_level()
             self._levels[level].update(
-                self.hierarchy.generalize(key, level), weight
+                hierarchy.generalize(key, level), weight, ts
             )
-            self.updates += 1
-        else:
-            for level in range(self.hierarchy.num_levels):
-                self._levels[level].update(
-                    self.hierarchy.generalize(key, level), weight
-                )
-                self.updates += 1
+            return 1
+        for level, summary in enumerate(self._levels):
+            summary.update(hierarchy.generalize(key, level), weight, ts)
+        return hierarchy.num_levels
 
-    def update_batch(self, keys, weights=None, ts=None) -> None:
-        """Vectorized chunk update: draw the whole level column at once and
-        fan each level's packets into that level's batch update."""
-        keys, weights, _ = as_batch(keys, weights, ts)
+    def _fan_out_batch(self, keys: np.ndarray, weights: np.ndarray,
+                       ts: np.ndarray | None) -> int:
+        """Batch twin of :meth:`_fan_out`: draw the whole level column at
+        once and hand each level's packets to its summary's batch update;
+        returns the summary updates made (packets times levels fed)."""
+        hierarchy = self.hierarchy
         n = keys.shape[0]
-        if n == 0:
-            return
-        if n < _SCALAR_CUTOFF:
-            super().update_batch(keys, weights)
-            return
-        ku = as_uint64_keys(keys)
-        w = ensure_nonnegative_weights(weights)
-        num_levels = self.hierarchy.num_levels
-        if self.sample_levels:
-            draws = np.arange(
-                self._draws, self._draws + n, dtype=np.uint64
-            ) + np.uint64(self._sbase)
-            levels = splitmix64_array(draws) % np.uint64(num_levels)
-            self._draws += n
-            for level in range(num_levels):
-                chosen = levels == level
-                if chosen.any():
-                    self._levels[level].update_batch(
-                        self.hierarchy.generalize_array(ku[chosen], level),
-                        w[chosen],
-                    )
-            self.updates += n
-        else:
-            for level in range(num_levels):
-                self._levels[level].update_batch(
-                    self.hierarchy.generalize_array(ku, level), w
+        if not self.sample_levels:
+            for level, summary in enumerate(self._levels):
+                summary.update_batch(
+                    hierarchy.generalize_array(keys, level), weights, ts
                 )
-            self.updates += n * num_levels
-        self.total += w.sum().item()
+            return n * hierarchy.num_levels
+        draws = np.arange(
+            self._draws, self._draws + n, dtype=np.uint64
+        ) + np.uint64(self._sbase)
+        levels = splitmix64_array(draws) % np.uint64(hierarchy.num_levels)
+        self._draws += n
+        for level, summary in enumerate(self._levels):
+            chosen = levels == level
+            if chosen.any():
+                summary.update_batch(
+                    hierarchy.generalize_array(keys[chosen], level),
+                    weights[chosen], None if ts is None else ts[chosen],
+                )
+        return n
 
     def _scale(self) -> float:
         """Estimate scale-up factor under level sampling."""
         return float(self.hierarchy.num_levels) if self.sample_levels else 1.0
 
-    def estimate(self, key: int, level: int) -> float:
-        """Scaled volume estimate for ``key`` generalized at ``level``."""
-        value = self.hierarchy.generalize(key, level)
-        return self._levels[level].estimate(value) * self._scale()
-
-    def query_hhh(self, threshold: float) -> HHHResult:
-        """Extract HHHs with conditioned (discounted) estimates."""
-        if threshold <= 0:
-            return HHHResult((), max(threshold, 0.0), self.total)
+    def _extract(self, per_level: Iterable[Mapping[int, float]],
+                 threshold: float) -> tuple[HHHItem, ...]:
+        """HHHs at ``threshold`` over each level's ``{value: count}``,
+        bottom-up: a prefix's scaled count is discounted by the
+        conditioned volumes of the HHHs already declared below it."""
         hierarchy = self.hierarchy
         scale = self._scale()
         items: list[HHHItem] = []
         # Discount mass accumulated from declared HHHs, keyed by the value
         # they generalise to at each upper level.
         declared: list[tuple[int, float]] = []  # (leaf-masked value, volume)
-        for level in range(hierarchy.num_levels):
-            summary = self._levels[level]
-            for value, count in summary.items().items():
+        for level, counts in enumerate(per_level):
+            for value, count in counts.items():
                 estimate = count * scale
                 discount = sum(
                     volume
@@ -165,7 +154,69 @@ class RHHH(Detector):
                     items.append(HHHItem(prefix, int(conditioned)))
                     declared.append((value, conditioned))
         items.sort()
-        return HHHResult(tuple(items), threshold, self.total)
+        return tuple(items)
+
+    def reset(self) -> None:
+        """Reset every level and rewind the level-sampling stream."""
+        for level in self._levels:
+            level.reset()
+        self._draws = 0
+
+    @property
+    def num_counters(self) -> int:
+        """Counters across all levels (for resource accounting)."""
+        return sum(level.num_counters for level in self._levels)
+
+
+class RHHH(LevelSampledHHH):
+    """Per-level Space-Saving with randomised level updates."""
+
+    def __init__(
+        self,
+        hierarchy: SourceHierarchy | None = None,
+        counters_per_level: int = 256,
+        seed: int = 0,
+        sample_levels: bool = True,
+    ) -> None:
+        super().__init__(
+            hierarchy, counters_per_level, seed, sample_levels, SpaceSaving
+        )
+        self.total = 0
+        self.updates = 0
+
+    def update(self, key: int, weight: float = 1, ts: float = 0.0) -> None:
+        """Account one packet (updates one sampled level, or all levels when
+        ``sample_levels`` is off)."""
+        self.total += weight
+        self.updates += self._fan_out(key, weight, ts)
+
+    def update_batch(self, keys, weights=None, ts=None) -> None:
+        """Vectorized chunk update: draw the whole level column at once and
+        fan each level's packets into that level's batch update."""
+        keys, weights, _ = as_batch(keys, weights, ts)
+        n = keys.shape[0]
+        if n == 0:
+            return
+        if n < _SCALAR_CUTOFF:
+            super().update_batch(keys, weights)
+            return
+        w = ensure_nonnegative_weights(weights)
+        self.updates += self._fan_out_batch(as_uint64_keys(keys), w, None)
+        self.total += w.sum().item()
+
+    def estimate(self, key: int, level: int) -> float:
+        """Scaled volume estimate for ``key`` generalized at ``level``."""
+        value = self.hierarchy.generalize(key, level)
+        return self._levels[level].estimate(value) * self._scale()
+
+    def query_hhh(self, threshold: float) -> HHHResult:
+        """Extract HHHs with conditioned (discounted) estimates."""
+        if threshold <= 0:
+            return HHHResult((), max(threshold, 0.0), self.total)
+        items = self._extract(
+            (summary.items() for summary in self._levels), threshold
+        )
+        return HHHResult(items, threshold, self.total)
 
     def query(
         self, threshold: float, now: float | None = None
@@ -181,16 +232,9 @@ class RHHH(Detector):
 
     def reset(self) -> None:
         """Reset every level and rewind the level-sampling stream."""
-        for level in self._levels:
-            level.reset()
-        self._draws = 0
+        super().reset()
         self.total = 0
         self.updates = 0
-
-    @property
-    def num_counters(self) -> int:
-        """Counters across all levels (for resource accounting)."""
-        return sum(level.num_counters for level in self._levels)
 
 
 register_detector(

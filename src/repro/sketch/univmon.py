@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from repro.core.detector import (
+    _SCALAR_CUTOFF,
     Detector,
     as_batch,
     as_uint64_keys,
@@ -33,8 +34,6 @@ from repro.core.registry import AccuracyFloor, register_detector
 from repro.hashing.families import HashFamily, pairwise_indep_family
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.spacesaving import SpaceSaving
-
-_SCALAR_CUTOFF = 16
 
 
 class UnivMon(Detector):

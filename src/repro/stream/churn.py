@@ -107,3 +107,19 @@ def emission_rows(emissions: Sequence[Emission]) -> list[dict[str, object]]:
         }
         for emission, stats in zip(emissions, churn_series(emissions))
     ]
+
+
+def serve_row(tenant: str, emission: Emission) -> dict[str, object]:
+    """One flat table row per tenant emission: the shared row schema of
+    the ``stream-serve`` experiment and the ``repro-hhh serve``
+    subcommand."""
+    return {
+        "tenant": tenant,
+        "emission": emission.index,
+        "t0": round(emission.window.t0, 3),
+        "t1": round(emission.window.t1, 3),
+        "packets": emission.packets,
+        "bytes": emission.bytes,
+        "report_size": len(emission.report),
+        "partial": emission.partial,
+    }

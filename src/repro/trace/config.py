@@ -75,18 +75,6 @@ class BurstConfig:
     burst_packets: int = 60
     burst_span_s: float = 0.25
     burst_size_bytes: int = 1400
-    #: Packet-train clumping of ordinary traffic: each source's packets
-    #: within an epoch are emitted in trains of ~``train_packets`` packets
-    #: spread over ``train_span_s`` (TCP-like micro-burstiness), instead of
-    #: uniformly.  0 disables clumping (smooth Poisson field).
-    train_packets: int = 0
-    train_span_s: float = 0.05
-    #: Per-source duty cycling: each source pauses for ``gap_s`` seconds at
-    #: a random position within every epoch (RTT-scale OFF periods, the
-    #: ~100 ms periodicity documented in backbone traces).  This is what
-    #: makes the composition of a window's last ~100 ms differ from the
-    #: window average.  0 disables gaps.
-    gap_s: float = 0.0
     #: Multifractal slot modulation: each source's packets within an epoch
     #: are distributed over ``slot_s``-second slots with i.i.d. lognormal
     #: weights of log-std ``slot_sigma``.  Heavy-tailed slot weights are
@@ -103,12 +91,6 @@ class BurstConfig:
             raise ValueError("burst shape parameters must be positive")
         if self.burst_span_s <= 0:
             raise ValueError("burst_span_s must be positive")
-        if self.train_packets < 0:
-            raise ValueError("train_packets must be >= 0")
-        if self.train_span_s <= 0:
-            raise ValueError("train_span_s must be positive")
-        if self.gap_s < 0:
-            raise ValueError("gap_s must be >= 0")
         if self.slot_sigma < 0:
             raise ValueError("slot_sigma must be >= 0")
         if self.slot_s <= 0:

@@ -317,52 +317,12 @@ class SyntheticTraceGenerator:
     def _epoch_timestamps(
         self, ranks: np.ndarray, t0: float, t1: float
     ) -> np.ndarray:
-        """Timestamps for one epoch's packets, aligned with ``ranks``.
-
-        Without clumping this is a uniform (Poisson) field.  With
-        ``train_packets > 0`` each source's packets are grouped into trains
-        of roughly that many packets, each train occupying a short
-        ``train_span_s`` interval at a random position — the TCP-like
-        micro-burstiness that makes the composition of any 100 ms of
-        traffic differ from the window average (the paper's Figure 3
-        effect).
-        """
-        n = len(ranks)
-        cfg = self.config.bursts
-        if cfg.train_packets <= 0 and cfg.gap_s <= 0 and cfg.slot_sigma <= 0:
-            return np.sort(self._rng.uniform(t0, t1, n))
-        if cfg.slot_sigma > 0:
+        """Timestamps for one epoch's packets, aligned with ``ranks``: a
+        uniform (Poisson) field, or multifractal slot placement when
+        ``slot_sigma > 0``."""
+        if self.config.bursts.slot_sigma > 0:
             return self._slot_modulated_timestamps(ranks, t0, t1)
-        ts = np.empty(n, dtype=np.float64)
-        span = cfg.train_span_s
-        epoch_len = t1 - t0
-        gap = min(cfg.gap_s, 0.9 * epoch_len)
-        order = np.argsort(ranks, kind="stable")
-        sorted_ranks = ranks[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ranks)) + 1
-        groups = np.split(order, boundaries)
-        for group in groups:
-            k = len(group)
-            if cfg.train_packets > 0:
-                num_trains = max(1, int(np.ceil(k / cfg.train_packets)))
-                starts = self._rng.uniform(t0, max(t0, t1 - span), num_trains)
-                which = self._rng.integers(num_trains, size=k)
-                group_ts = starts[which] + self._rng.uniform(0.0, span, k)
-            else:
-                group_ts = self._rng.uniform(t0, t1, k)
-            if gap > 0:
-                # One silent interval per source per epoch: packets are
-                # placed in the epoch minus the gap, then shifted across it.
-                gap_start = float(self._rng.uniform(t0, t1 - gap))
-                squeezed = t0 + (group_ts - t0) * (1.0 - gap / epoch_len)
-                group_ts = np.where(
-                    squeezed >= gap_start, squeezed + gap, squeezed
-                )
-            ts[group] = group_ts
-        np.clip(ts, t0, t1 - 1e-9, out=ts)
-        # The caller sorts globally after concatenation; keep this epoch
-        # internally unsorted but time-bounded.
-        return ts
+        return np.sort(self._rng.uniform(t0, t1, len(ranks)))
 
     def _slot_modulated_timestamps(
         self, ranks: np.ndarray, t0: float, t1: float

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core import detector_names, get_spec
+from repro.sketch import RHHH, MisraGries, SpaceSaving
+from repro.trace.spec import build_trace
 
 N_PACKETS = 600
 N_BATCHES = 4
@@ -264,3 +266,63 @@ def test_single_batch_equals_many_batches():
         assert many.estimate(key, 21.0) == pytest.approx(
             one.estimate(key, 21.0), rel=1e-9, abs=1e-9
         )
+
+
+COUNTER_TABLES = {
+    "spacesaving-64": lambda: SpaceSaving(64),
+    "spacesaving-1024": lambda: SpaceSaving(1024),
+    "misragries-64": lambda: MisraGries(64),
+    "misragries-1024": lambda: MisraGries(1024),
+    "rhhh-sampled": lambda: RHHH(counters_per_level=64),
+    "rhhh-every-level": lambda: RHHH(counters_per_level=64,
+                                     sample_levels=False),
+}
+
+
+def _counter_tables(det):
+    """Every counter table a detector holds (one per level for RHHH)."""
+    return det._levels if isinstance(det, RHHH) else [det]
+
+
+def _errors(det):
+    errors = det._table.cols["errors"]
+    return {key: float(errors[slot]) for key, slot in det._table.slot_of.items()}
+
+
+@pytest.fixture(scope="module")
+def caida_day():
+    return build_trace("caida:day=1,duration=20")
+
+
+@pytest.fixture(scope="module")
+def per_packet(caida_day):
+    """Each counter-table detector after per-packet ``update``."""
+    out = {}
+    for name, make in COUNTER_TABLES.items():
+        det = make()
+        for key, weight in zip(caida_day.src.tolist(),
+                               caida_day.length.tolist()):
+            det.update(key, weight)
+        out[name] = det
+    return out
+
+
+@pytest.mark.parametrize("chunk", [100, 1000, 8192])
+@pytest.mark.parametrize("name", sorted(COUNTER_TABLES))
+def test_counter_tables_batch_equals_scalar_exactly(name, chunk, caida_day,
+                                                    per_packet):
+    """On a stream that overfills the table, batches (admission-free
+    prefix scattered, the rest replayed) leave exactly the counters, and
+    Space-Saving's errors, that per-packet ``update`` leaves."""
+    det = COUNTER_TABLES[name]()
+    for start in range(0, len(caida_day), chunk):
+        det.update_batch(caida_day.src[start:start + chunk],
+                         caida_day.length[start:start + chunk])
+    reference = per_packet[name]
+    assert det.total == reference.total
+    for got, expected in zip(_counter_tables(det),
+                             _counter_tables(reference)):
+        assert got.items() == expected.items()
+        assert got.total == expected.total
+        if isinstance(got, SpaceSaving):
+            assert _errors(got) == _errors(expected)

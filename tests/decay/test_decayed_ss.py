@@ -83,6 +83,30 @@ class TestDecayedSpaceSaving:
 FRESH_KEY = 10**9  # never in a fill: the chunk's first packet misses
 
 
+@pytest.mark.parametrize("capacity", [64, 4])
+@pytest.mark.parametrize("start", [-1e4, -1e6])
+def test_batch_matches_scalar_update_at_negative_times(start, capacity):
+    """A counter the batch path claims starts at value 0, stamp 0.  Far
+    below ts 0 its age is negative, and decaying it by that age would
+    read 0 * inf = NaN; each claimed key must hold its own volume, on
+    the eviction-free path (64 counters) and the prefix path (4)."""
+    keys = np.arange(32, dtype=np.uint64) % 8
+    weights = 100.0 + np.arange(32.0)
+    ts = start + np.linspace(0.0, 1.0, 32)
+    batch, scalar = (DecayedSpaceSaving(capacity, ExponentialDecay(tau=10.0))
+                     for _ in range(2))
+    batch.update_batch(keys, weights, ts)
+    for key, weight, t in zip(keys.tolist(), weights.tolist(), ts.tolist()):
+        scalar.update(key, weight, t)
+    now = float(ts[-1])
+    expected = scalar.query(0.0, now)
+    got = batch.query(0.0, now)
+    assert len(expected) == min(capacity, 8)
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, rel=1e-9)
+
+
 def _tail_case(name, rng):
     """``(capacity, fill, chunk)`` for one tail scenario; ``fill`` and
     ``chunk`` are ``(keys, weights, ts)`` columns."""
@@ -142,7 +166,7 @@ def _assert_tail_matches_scalar(capacity, fill, keys, weights, ts):
     batch, scalar = _filled(capacity, fill), _filled(capacity, fill)
     # The table is full and the first packet misses, so the whole chunk
     # takes the eviction tail.
-    assert len(keys) >= 16 and plan_batch(batch._table, keys)[1] == 0
+    assert len(keys) >= 16 and plan_batch(batch._table, keys) == 0
     batch.update_batch(keys, weights, ts)
     for key, weight, t in zip(keys.tolist(), weights.tolist(), ts.tolist()):
         scalar.update(key, weight, t)

@@ -53,9 +53,6 @@ class TestBurstConfig:
             {"burst_packets": -1},
             {"burst_span_s": 0},
             {"burst_size_bytes": 0},
-            {"train_packets": -1},
-            {"train_span_s": 0},
-            {"gap_s": -0.1},
             {"slot_sigma": -1.0},
             {"slot_s": 0},
         ],
