@@ -859,7 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="auto-checkpoint each tenant every N emissions "
                         "(and once at admission) so it survives worker "
-                        "crashes; without it a crash fails the tenant")
+                        "crashes; each tenant keeps the chunks pushed "
+                        "since its last checkpoint (up to N emissions' "
+                        "worth) to replay them; without it a crash fails "
+                        "the tenant")
     p.add_argument("--recover", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="supervise worker crashes: respawn dead workers "

@@ -97,6 +97,8 @@ class ExactDecayedCounts(Detector):
         if ts is None:
             raise TypeError("ExactDecayedCounts.update() requires the packet "
                             "timestamp 'ts'")
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
         counter = self._counters.get(key)
         if counter is None:
             counter = DecayedCounter(self.law)

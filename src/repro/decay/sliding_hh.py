@@ -74,6 +74,8 @@ class SlidingWindowSpaceSaving(Detector):
         if ts is None:
             raise TypeError("SlidingWindowSpaceSaving.update() requires the "
                             "packet timestamp 'ts'")
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
         self._expire(ts)
         index = self._bucket_index(ts)
         if not self._buckets or self._buckets[-1][0] != index:

@@ -71,6 +71,8 @@ class TimeDecayingHHH(LevelSampledHHH):
         if ts is None:
             raise TypeError("TimeDecayingHHH.update() requires the packet "
                             "timestamp 'ts'")
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
         self.packets += 1
         self._total.add(weight, ts)
         self._fan_out(key, weight, ts)

@@ -51,6 +51,7 @@ import atexit
 import multiprocessing as mp
 import weakref
 from collections import deque
+from multiprocessing import util as mp_util
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,6 +275,12 @@ class ServePool:
     def _spawn_worker(self, w: int) -> None:
         """Start (or restart) worker ``w`` with a fresh pipe and no state."""
         parent, child = self._ctx.Pipe()
+        # Every process forked from here on (this worker, later workers)
+        # closes its inherited copy of the supervisor's end before it
+        # runs.  A worker holding one never reads EOF, so it would
+        # outlive a killed supervisor and keep the resource tracker from
+        # unlinking the ring's segment.
+        mp_util.register_after_fork(parent, type(parent).close)
         proc = self._ctx.Process(
             target=_serve_worker,
             args=(child, self.ring.name, self.chunk_capacity,

@@ -187,6 +187,8 @@ class RHHH(LevelSampledHHH):
     def update(self, key: int, weight: float = 1, ts: float = 0.0) -> None:
         """Account one packet (updates one sampled level, or all levels when
         ``sample_levels`` is off)."""
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
         self.total += weight
         self.updates += self._fan_out(key, weight, ts)
 

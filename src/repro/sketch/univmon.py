@@ -82,6 +82,8 @@ class UnivMon(Detector):
 
     def update(self, key: int, weight: int = 1, ts: float = 0.0) -> None:
         """Account one packet: update levels 0..level_of(key)."""
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
         self.total += weight
         deepest = self._level_of(key)
         for level in range(deepest + 1):

@@ -38,22 +38,28 @@ The runtime is churn-tolerant and supervised:
   :class:`repro.engine.serve.WorkerCrashError`; with ``recover=True``
   (the default) the runtime respawns it and rebuilds each tenant from
   its last auto-checkpoint (``add_tenant(..., checkpoint_every=N)``
-  checkpoints every N emissions), replaying the packets since the
-  checkpoint from the deterministic source.  Already-delivered emissions
-  are suppressed during replay, so the emission stream the consumer sees
-  is bit-identical to an uninterrupted run.  Tenants with no recoverable
-  checkpoint are retired into :attr:`failed` instead of killing the
-  pool.
+  checkpoints every N emissions), replaying the chunks it has pushed
+  since that checkpoint from its own log (upstream backup): recovery
+  reads nothing from the source, so it costs the checkpoint gap rather
+  than the stream's age, and it works for sources that cannot be read
+  twice.  Already-delivered emissions are suppressed during replay, so
+  the emission stream the consumer sees is bit-identical to an
+  uninterrupted run.  Tenants with no recoverable checkpoint are retired
+  into :attr:`failed` instead of killing the pool.
 
 * **Rebalance** — :meth:`rebalance` checkpoints a tenant, retires it
   here, and resumes it on a new worker layout (same or another runtime
-  with equal shard count) bit-identically, without stopping siblings.
+  with equal shard count) bit-identically, without stopping siblings;
+  the new placement reads on from the chunks the tenant has not pushed
+  yet, so rebalance reads no source twice either.
 
 Checkpoints are the migration unit: :meth:`ServeRuntime.checkpoint_tenant`
 emits the standard ``repro-hhh/stream-checkpoint/v2`` artifact, so a
 tenant frozen here resumes bit-identically on another pool (any worker
 count, same shard count), under the serial pipeline, or back here via
-``add_tenant(..., resume=ckpt, fast_forward=True)``.
+``add_tenant(..., resume=ckpt, fast_forward=True)`` — a cold resume like
+that one, unlike in-process recovery, regenerates a deterministic source
+and skips what the checkpoint consumed.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from repro.engine.serve import (
 from repro.stream.emission import Emission, parse_emission_policy
 from repro.stream.pipeline import StreamPipeline
 from repro.stream.source import StreamSource, parse_stream_spec, skip_packets
+from repro.trace.container import Trace
 
 
 class _TenantRun:
@@ -79,11 +86,13 @@ class _TenantRun:
 
     __slots__ = (
         "name", "pipeline", "chunks", "remaining", "done",
-        # crash recovery: the source feeding the pipeline since admission,
-        # the packet count at admission (the source's position 0), the
-        # checkpoint cadence (emissions), and the last checkpoint taken.
-        "source", "base_packets", "checkpoint_every", "ckpt",
-        "ckpt_emissions",
+        # crash recovery: the checkpoint cadence (emissions), the last
+        # checkpoint taken, and the chunks pushed since it (``log``; None
+        # for a tenant without checkpoints).
+        "checkpoint_every", "ckpt", "ckpt_emissions", "log",
+        # logged chunks still to push again after a restore, ahead of
+        # ``chunks``.
+        "replay",
         # delivered-emission high-water mark (replay suppression).
         "yielded",
         # the add_tenant settings, for rebalance re-admission.
@@ -94,24 +103,60 @@ class _TenantRun:
         self,
         name: str,
         pipeline: StreamPipeline,
-        source: StreamSource,
-        chunks: Iterator,
+        chunks: Iterator[Trace],
         remaining: int | None,
         checkpoint_every: int | None,
         settings: dict[str, object],
     ) -> None:
         self.name = name
         self.pipeline = pipeline
-        self.source = source
         self.chunks = chunks
         self.remaining = remaining
         self.done = False
-        self.base_packets = pipeline.packets
         self.checkpoint_every = checkpoint_every
         self.ckpt: dict[str, object] | None = None
         self.ckpt_emissions = pipeline.emissions
+        self.log: list[Trace] | None = (
+            None if checkpoint_every is None else []
+        )
+        self.replay: list[Trace] = []
         self.yielded = pipeline.emissions
         self.settings = settings
+
+    def next_chunk(self) -> Trace | None:
+        """The next chunk to push: pending replay first, then the source.
+
+        Pops replayed chunks one per call, so a replayed chunk is held
+        only by the log (until the next checkpoint empties it).
+        """
+        if self.replay:
+            return self.replay.pop(0)
+        chunk = next(self.chunks, None)
+        while chunk is not None and not len(chunk):
+            # A composed source may legally yield a zero-length chunk
+            # (e.g. at a splice boundary); only None is end-of-stream.
+            chunk = next(self.chunks, None)
+        return chunk
+
+    def drop_log(self) -> None:
+        """Release the logged and pending chunks; the tenant will not
+        be pushed to again."""
+        self.log = None
+        self.replay = []
+
+
+class _UnreadChunks(StreamSource):
+    """The chunks a tenant has not pushed yet: its pending replay, then
+    its live chunk iterator.  Read-once, like the iterator it drains."""
+
+    def __init__(self, replay: list[Trace], chunks: Iterator[Trace]) -> None:
+        self._replay = replay
+        self._chunks = chunks
+
+    def segments(self) -> Iterator[Trace]:
+        while self._replay:
+            yield self._replay.pop(0)
+        yield from self._chunks
 
 
 class ServeRuntime:
@@ -200,7 +245,10 @@ class ServeRuntime:
         ``checkpoint_every=N`` auto-checkpoints the tenant every ``N``
         emissions (and once at admission), which is what makes it
         recoverable after a worker crash; without it a crash retires the
-        tenant into :attr:`failed`.
+        tenant into :attr:`failed`.  A recoverable tenant keeps the chunks
+        it has pushed since its last checkpoint — up to ``N`` emissions'
+        worth, the same gap a crash replays — so ``N`` trades checkpoint
+        cost against that memory.
 
         Legal while :meth:`run` is iterating: the scheduler picks the new
         tenant up at the next turn boundary.
@@ -263,7 +311,7 @@ class ServeRuntime:
                 "checkpoint_every": checkpoint_every,
             }
             run = _TenantRun(
-                name, pipeline, source, source.chunks(self.chunk_size),
+                name, pipeline, source.chunks(self.chunk_size),
                 remaining, checkpoint_every, settings,
             )
             if checkpoint_every is not None:
@@ -308,7 +356,8 @@ class ServeRuntime:
         Checkpoints the tenant, retires it here, and re-admits it on
         ``target`` (default: this runtime, e.g. after its pool gained
         respawned workers) with the same settings, resuming from the
-        checkpoint.  Siblings keep streaming; the moved tenant continues
+        checkpoint and reading on from the chunks the tenant has not
+        pushed yet.  Siblings keep streaming; the moved tenant continues
         bit-identically when the target's shard count and chunk size
         match this runtime's (the checkpoint pins the shard count; the
         chunk grid pins batch boundaries).
@@ -335,13 +384,12 @@ class ServeRuntime:
                 f"tenant {name!r} already registered on the target runtime"
             )
         settings = dict(run.settings)
-        consumed = run.pipeline.packets - run.base_packets
-        feed = skip_packets(run.source, consumed)
+        unread = _UnreadChunks(run.replay, run.chunks)
         artifact = self.retire_tenant(name, checkpoint=True)
-        return target.add_tenant(
+        pipeline = target.add_tenant(
             name,
             settings["detector"],  # type: ignore[arg-type]
-            feed,
+            unread,
             emit=settings["emit"],  # type: ignore[arg-type]
             phi=settings["phi"],  # type: ignore[arg-type]
             key=settings["key"],  # type: ignore[arg-type]
@@ -352,6 +400,10 @@ class ServeRuntime:
             resume=artifact,
             checkpoint_every=settings["checkpoint_every"],  # type: ignore[arg-type]
         )
+        # A tenant moved mid-replay has delivered emissions past its
+        # checkpoint; the new placement must not deliver them again.
+        target._tenants[name].yielded = run.yielded
+        return pipeline
 
     def pipeline(self, name: str) -> StreamPipeline:
         """The named tenant's pipeline (live or finished — not failed)."""
@@ -428,11 +480,7 @@ class ServeRuntime:
     ) -> None:
         """Feed one chunk to one tenant, retiring it on error or EOS."""
         try:
-            chunk = next(run.chunks, None)
-            while chunk is not None and not len(chunk):
-                # A composed source may legally yield a zero-length chunk
-                # (e.g. at a splice boundary); only None is end-of-stream.
-                chunk = next(run.chunks, None)
+            chunk = run.next_chunk()
             if chunk is None:
                 self._finish_run(run, out)
                 return
@@ -440,6 +488,9 @@ class ServeRuntime:
                 if len(chunk) > run.remaining:
                     chunk = chunk.slice_index(0, run.remaining)
                 run.remaining -= len(chunk)
+            if run.log is not None:
+                # Logged before the push, so a crash mid-push replays it.
+                run.log.append(chunk)
             for emission in run.pipeline.push(chunk):
                 self._collect(run, emission, out)
             if run.remaining is not None and run.remaining <= 0:
@@ -451,6 +502,7 @@ class ServeRuntime:
             ):
                 run.ckpt = run.pipeline.checkpoint()
                 run.ckpt_emissions = run.pipeline.emissions
+                run.log = []
         except TenantError as exc:
             self._fail(run.name, str(exc))
 
@@ -477,11 +529,12 @@ class ServeRuntime:
     def _handle_crash(self, exc: WorkerCrashError) -> None:
         """Respawn dead workers and rewind tenants to their checkpoints.
 
-        Tenants with an auto-checkpoint are restored from it and their
-        chunk iterators rebuilt from the deterministic source at the
-        checkpoint offset; the scheduler then replays the gap (emissions
-        already delivered are suppressed).  Tenants without one retire
-        into :attr:`failed`.  Retries if another worker dies mid-recovery.
+        Tenants with an auto-checkpoint are restored from it and queue
+        the chunks they pushed since it for replay ahead of their live
+        chunk iterators, so no source is read again; the scheduler then
+        replays the gap (emissions already delivered are suppressed).
+        Tenants without one retire into :attr:`failed`.  Retries if
+        another worker dies mid-recovery.
         """
         if not self.recover:
             raise exc
@@ -522,11 +575,14 @@ class ServeRuntime:
         })
 
     def _restore_run(self, run: _TenantRun) -> None:
-        """Rewind one tenant to its last checkpoint and re-aim its source."""
+        """Rewind one tenant to its last checkpoint and queue its log.
+
+        The logged chunks go ahead of any replay still pending from an
+        earlier crash; the live chunk iterator is not touched.
+        """
         run.pipeline.restore(run.ckpt)
-        run.chunks = skip_packets(
-            run.source, run.pipeline.packets - run.base_packets
-        ).chunks(self.chunk_size)
+        run.replay = run.log + run.replay  # type: ignore[operator]
+        run.log = []
         max_packets = run.settings["max_packets"]
         run.remaining = (
             None if max_packets is None
@@ -552,6 +608,7 @@ class ServeRuntime:
         run = self._tenants.get(name)
         if run is not None:
             run.done = True
+            run.drop_log()
         try:
             self.pool.close_tenant(name)
         except (ServeError, TenantError):  # pragma: no cover - double fault
@@ -564,10 +621,12 @@ class ServeRuntime:
             raise ServeError("serve runtime is closed")
 
     def close(self) -> None:
-        """Release the pool."""
+        """Release the pool and every tenant's logged chunks."""
         if self._closed:
             return
         self._closed = True
+        for run in self._tenants.values():
+            run.drop_log()
         self.pool.close()
 
     def __enter__(self) -> "ServeRuntime":

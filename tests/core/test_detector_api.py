@@ -85,6 +85,23 @@ class TestReset:
         assert a._levels[0].items() == b._levels[0].items()
 
 
+class TestRejectedWeight:
+    @pytest.mark.parametrize("name", detector_names())
+    def test_rejected_negative_weight_leaves_state_unchanged(self, name):
+        """A scalar ``update`` that rejects a negative weight does so
+        before touching state, as the batch paths do: a new key at a
+        later time (a new bucket, a fresh counter, a sampler draw) leaves
+        the digest as it was."""
+        det = get_spec(name).factory()
+        for key, t in zip([11, 29, 11, 47], [0.5, 1.0, 1.5, 2.0]):
+            det.update(key, 100, t)
+        before = det.state_digest()
+        try:
+            det.update(12345, -5, 50.0)
+        except ValueError:
+            assert det.state_digest() == before
+
+
 class TestMerge:
     def test_countmin_merge_sums(self):
         a, b = CountMinSketch(width=128, rows=4), CountMinSketch(width=128, rows=4)
