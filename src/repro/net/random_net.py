@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.net.ipv4 import IPV4_BITS
 from repro.net.prefix import Prefix, truncate
 
@@ -75,14 +77,63 @@ class RandomAddressSpace:
         return sorted(seen)
 
     def draw_host(self) -> int:
-        """A uniformly random host inside a uniformly random subnet."""
+        """A uniformly random host inside a uniformly random subnet.
+
+        The scalar reference: :meth:`draw_hosts` is the vectorized form
+        the generator calls, and the tests hold it to this method's
+        output and ``rng`` state.
+        """
         subnet = self._rng.choice(self.subnets)
         host_bits = IPV4_BITS - self.subnet_length
         return subnet | (self._rng.getrandbits(host_bits) if host_bits else 0)
 
-    def draw_hosts(self, count: int) -> list[int]:
-        """``count`` independent draws of :meth:`draw_host`."""
-        return [self.draw_host() for _ in range(count)]
+    def draw_hosts(self, count: int) -> np.ndarray:
+        """``count`` draws of :meth:`draw_host`, as a uint32 array.
+
+        Bit-identical to calling :meth:`draw_host` ``count`` times, and
+        ``rng`` ends in the same state.  Both draws are top bits of 32-bit
+        Mersenne Twister words: ``getrandbits(b)`` keeps the top ``b``
+        bits of one word, and ``choice`` draws words until the top
+        ``len(subnets).bit_length()`` bits index a subnet.  So this method
+        reads a block of words from ``rng`` in one call, parses it with
+        :func:`_accepted_choices`, and then rewinds ``rng`` and advances it
+        by exactly the words the draws used.
+        """
+        if count <= 0:
+            return np.empty(0, dtype=np.uint32)
+        num_subnets = len(self.subnets)
+        choice_bits = num_subnets.bit_length()
+        host_bits = IPV4_BITS - self.subnet_length
+        start = self._rng.getstate()
+        # Words per host: 2**choice_bits / num_subnets candidates on
+        # average, plus the host word; 10% slack makes a refill rare.
+        per_host = (1 << choice_bits) / num_subnets + (1 if host_bits else 0)
+        words = self._words(int(count * per_host * 1.1) + 64)
+        while True:
+            picks = _accepted_choices(
+                words, choice_bits, num_subnets, bool(host_bits)
+            )[:count]
+            used = int(picks[-1]) + (2 if host_bits else 1) if len(picks) else 0
+            if len(picks) == count and used <= len(words):
+                break
+            words = np.concatenate([words, self._words(len(words))])
+        hosts = np.array(self.subnets, dtype=np.uint32)[
+            words[picks] >> (IPV4_BITS - choice_bits)
+        ]
+        if host_bits:
+            hosts |= words[picks + 1] >> (IPV4_BITS - host_bits)
+        self._rng.setstate(start)
+        self._rng.getrandbits(IPV4_BITS * used)
+        return hosts
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit outputs of ``rng``, in draw order.
+
+        ``getrandbits`` fills its result from the least significant word
+        up, one generator output per 32 bits, on any byte order.
+        """
+        bits = self._rng.getrandbits(IPV4_BITS * count)
+        return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
 
     def subnet_prefixes(self) -> list[Prefix]:
         """All subnets as :class:`Prefix` objects."""
@@ -95,3 +146,26 @@ class RandomAddressSpace:
     def network_of(self, address: int) -> Prefix:
         """The top-level network containing ``address``."""
         return Prefix(truncate(address, self.network_length), self.network_length)
+
+
+def _accepted_choices(
+    words: np.ndarray, choice_bits: int, num_subnets: int, host_words: bool
+) -> np.ndarray:
+    """Indices of the words that ``random.choice`` accepts, in order.
+
+    A word *fits* when its top ``choice_bits`` bits index a subnet.  With
+    host words, each accepted choice is followed by a host word.  A word
+    that does not fit was either a rejected candidate or a host word, so
+    the word after it is a candidate; in the run of fitting words that
+    starts there, candidates (all accepted) and host words alternate.
+    """
+    fits = (words >> (IPV4_BITS - choice_bits)) < num_subnets
+    if not host_words:
+        return np.flatnonzero(fits)
+    misfits = np.flatnonzero(~fits)
+    run_start = np.concatenate(([0], misfits + 1))
+    run_picks = (np.append(misfits, len(words)) - run_start + 1) // 2
+    first_pick = np.cumsum(run_picks) - run_picks
+    return np.repeat(run_start - 2 * first_pick, run_picks) + 2 * np.arange(
+        run_picks.sum()
+    )

@@ -361,6 +361,11 @@ class ServeRuntime:
         bit-identically when the target's shard count and chunk size
         match this runtime's (the checkpoint pins the shard count; the
         chunk grid pins batch boundaries).
+
+        Every check the target's admission makes runs before the tenant
+        is retired here, so a refused move leaves the tenant where it
+        is, with its pipeline state.  A tenant that has consumed its
+        ``max_packets`` has nothing left to move and is refused.
         """
         self._check_open()
         target = self if target is None else target
@@ -382,6 +387,15 @@ class ServeRuntime:
         if target is not self and name in target._tenants:
             raise ServeError(
                 f"tenant {name!r} already registered on the target runtime"
+            )
+        max_packets = run.settings["max_packets"]
+        if max_packets is not None and (
+            run.pipeline.packets >= max_packets  # type: ignore[operator]
+        ):
+            raise ServeError(
+                f"tenant {name!r} has finished: it consumed "
+                f"{run.pipeline.packets} packets, at max_packets "
+                f"{max_packets}; a finished tenant stays where it is"
             )
         settings = dict(run.settings)
         unread = _UnreadChunks(run.replay, run.chunks)

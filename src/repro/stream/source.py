@@ -34,7 +34,7 @@ stream counterpart of ``TraceSpec``::
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -49,21 +49,6 @@ def _mean_spacing(segment: Trace) -> float:
     if len(segment) > 1 and segment.duration > 0:
         return segment.duration / (len(segment) - 1)
     return 1e-3
-
-
-def _concat_segments(parts: Sequence[Trace]) -> Trace:
-    """Concatenate already time-ordered parts without re-sorting."""
-    if len(parts) == 1:
-        return parts[0]
-    return Trace(
-        np.concatenate([p.ts for p in parts]),
-        np.concatenate([p.src for p in parts]),
-        np.concatenate([p.dst for p in parts]),
-        np.concatenate([p.length for p in parts]),
-        np.concatenate([p.sport for p in parts]),
-        np.concatenate([p.dport for p in parts]),
-        np.concatenate([p.proto for p in parts]),
-    )
 
 
 class StreamSource(abc.ABC):
@@ -121,7 +106,7 @@ def _take(
             taken.append(head.slice_index(0, need))
             pending[0] = head.slice_index(need, len(head))
             got = n
-    return _concat_segments(taken), pending, buffered - n
+    return concat_traces(taken), pending, buffered - n
 
 
 class TraceSource(StreamSource):
@@ -145,7 +130,8 @@ class ScenarioSource(StreamSource):
     the stream's continuous timeline.  When the scenario's builder accepts
     a ``seed`` parameter, cycle ``i`` is built with ``base_seed + i`` so
     the stream never repeats; scenarios without a seed knob (the
-    CAIDA-like days) replay the same cycle with shifted timestamps.
+    CAIDA-like days) replay the same cycle with shifted timestamps, and
+    end the stream at once when that cycle is empty.
 
     Parameters
     ----------
@@ -218,6 +204,8 @@ class ScenarioSource(StreamSource):
             segment = self._build_cycle(index)
             index += 1
             if not len(segment):
+                if not self._reseedable:
+                    return  # every cycle is this same empty trace
                 continue
             if clock is not None:
                 segment = shift_trace(segment, clock - segment.start_time)

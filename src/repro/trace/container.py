@@ -35,9 +35,10 @@ class Trace:
         for name, col in (("src", src), ("dst", dst), ("length", length)):
             if len(col) != n:
                 raise ValueError(f"column {name} has length {len(col)} != {n}")
-        if n and np.any(np.diff(ts) < 0):
+        ts = np.asarray(ts, dtype=np.float64)
+        if n and np.any(ts[1:] < ts[:-1]):
             raise ValueError("timestamps must be sorted non-decreasing")
-        self.ts = np.asarray(ts, dtype=np.float64)
+        self.ts = ts
         self.src = np.asarray(src, dtype=np.uint32)
         self.dst = np.asarray(dst, dtype=np.uint32)
         self.length = np.asarray(length, dtype=np.int64)

@@ -11,8 +11,19 @@ The generator works epoch by epoch (default 1 s):
    40 B / 1500 B mixture;
 5. burst trains add sub-second clumps from single sources.
 
-Every random draw flows through one ``numpy`` generator seeded from the
-config, so traces are bit-for-bit reproducible.
+Two seeded streams draw everything, so traces are bit-for-bit
+reproducible: one ``numpy`` generator makes every traffic draw (rates,
+churn, episodes, sources, timestamps, sizes, headers), and
+``random.Random`` streams seeded from the same config draw the source and
+destination address populations
+(:class:`repro.net.random_net.RandomAddressSpace`).
+
+The contract every change here keeps: the same draws, with the same
+arguments, in the same order, on both streams.  Only the arithmetic
+between the draws is batched, into vectorised passes that compute the
+same IEEE values as the per-item code they replace.
+``tests/trace/test_generator.py`` pins SHA-256 digests of every scenario
+to hold the contract.
 """
 
 from __future__ import annotations
@@ -30,6 +41,21 @@ import random as _random
 
 _WELL_KNOWN_PORTS = np.array([80, 443, 53, 22, 123, 8080], dtype=np.uint16)
 _WELL_KNOWN_WEIGHTS = np.array([0.35, 0.35, 0.12, 0.05, 0.05, 0.08])
+#: The CDF ``Generator.choice(_WELL_KNOWN_PORTS, p=_WELL_KNOWN_WEIGHTS)``
+#: builds on every call; ports are drawn from it with that call's
+#: ``random(n)`` (see :func:`_port_index`).
+_PORT_CDF = _WELL_KNOWN_WEIGHTS.cumsum()
+_PORT_CDF /= _PORT_CDF[-1]
+
+
+def _port_index(u: np.ndarray) -> np.ndarray:
+    """``_PORT_CDF.searchsorted(u, side="right")``, as ``choice`` computes
+    it: the number of CDF entries at or below each draw (the last entry,
+    1.0, never is)."""
+    index = np.zeros(len(u), dtype=np.uint8)
+    for edge in _PORT_CDF[:-1]:
+        index += u >= edge
+    return index
 
 
 @dataclass(frozen=True)
@@ -80,18 +106,15 @@ class SyntheticTraceGenerator:
             rng=address_rng,
         )
         # Source population: hosts clustered under the structured space.
-        self.sources = np.array(
-            self.space.draw_hosts(config.num_sources), dtype=np.uint32
-        )
+        self.sources = self.space.draw_hosts(config.num_sources)
         dest_rng = _random.Random(config.seed ^ 0x0F0F_F0F0)
         dest_space = RandomAddressSpace(
             num_networks=max(4, config.num_networks // 2),
             subnets_per_network=8,
             rng=dest_rng,
         )
-        self.destinations = np.array(
-            dest_space.draw_hosts(max(64, config.num_sources // 4)),
-            dtype=np.uint32,
+        self.destinations = dest_space.draw_hosts(
+            max(64, config.num_sources // 4)
         )
         self.zipf = ZipfSampler(config.num_sources, config.zipf_alpha, self._rng)
         if config.head_shares:
@@ -126,7 +149,7 @@ class SyntheticTraceGenerator:
         base[num_heads:] *= target_tail / tail_mass
         probs = [base]
         new_sources: list[int] = []
-        used = {int(s) >> 8 for s in self.sources}
+        used = set((self.sources >> 8).tolist())
         for share in cfg.band_subnets:
             subnet = address_rng.getrandbits(24)
             while subnet in used:
@@ -178,12 +201,19 @@ class SyntheticTraceGenerator:
         return active | self.churn_exempt
 
     def _churn_step(self, active: np.ndarray) -> np.ndarray:
-        """One epoch of activate/deactivate churn."""
+        """One epoch of activate/deactivate churn: an active source stays
+        unless its draw falls under ``deactivate_prob``, an inactive one
+        joins when its draw falls under ``activate_prob``."""
         cfg = self.config.churn
         u = self._rng.random(len(active))
-        flip_off = active & (u < cfg.deactivate_prob)
-        flip_on = ~active & (u < cfg.activate_prob)
-        return ((active & ~flip_off) | flip_on) | self.churn_exempt
+        if not (cfg.deactivate_prob or cfg.activate_prob):
+            # No source can flip, and active already holds every
+            # churn-exempt source.
+            return active
+        stays = (active & (u >= cfg.deactivate_prob)) | (
+            ~active & (u < cfg.activate_prob)
+        )
+        return stays | self.churn_exempt
 
     def _schedule_episodes(self) -> list[HeavyEpisode]:
         """Draw the heavy-episode schedule for the whole trace."""
@@ -191,11 +221,13 @@ class SyntheticTraceGenerator:
         expected = cfg.episodes_per_minute * self.config.duration_s / 60.0
         count = int(self._rng.poisson(expected)) if expected > 0 else 0
         episodes: list[HeavyEpisode] = []
-        src_by_subnet: dict[int, list[int]] = {}
-        subnet_shift = 8  # /24 grouping of the uint32 address
-        for rank, addr in enumerate(self.sources):
-            src_by_subnet.setdefault(int(addr) >> subnet_shift, []).append(rank)
-        subnet_keys = list(src_by_subnet)
+        if not count:
+            return episodes
+        # /24 of every source, and the distinct /24s in order of first
+        # appearance by rank: the order the subnet draw indexes.
+        source_subnets = self.sources >> 8
+        subnets, first_rank = np.unique(source_subnets, return_index=True)
+        subnet_keys = subnets[np.argsort(first_rank)]
         probabilities = self.zipf.probabilities
         for _ in range(count):
             start = float(self._rng.uniform(0.0, self.config.duration_s))
@@ -210,9 +242,9 @@ class SyntheticTraceGenerator:
                     )
                 )
             )
-            if self._rng.random() < cfg.subnet_fraction and subnet_keys:
+            if self._rng.random() < cfg.subnet_fraction:
                 subnet = subnet_keys[int(self._rng.integers(len(subnet_keys)))]
-                ranks = tuple(src_by_subnet[subnet])
+                ranks = tuple(np.flatnonzero(source_subnets == subnet).tolist())
                 is_subnet = True
             else:
                 ranks = (int(self._rng.integers(self.population)),)
@@ -240,24 +272,14 @@ class SyntheticTraceGenerator:
         episodes.sort(key=lambda ep: ep.start)
         return episodes
 
-    def _episode_weights(
-        self, episodes: list[HeavyEpisode], t0: float, t1: float
-    ) -> np.ndarray:
-        """Multiplicative weight vector from episodes overlapping [t0, t1)."""
-        weights = np.ones(self.population, dtype=np.float64)
-        span = t1 - t0
-        for ep in episodes:
-            frac = ep.overlap(t0, t1) / span
-            if frac > 0.0:
-                boost = 1.0 + (ep.boost - 1.0) * frac
-                weights[list(ep.source_ranks)] *= boost
-        return weights
-
     def _packet_sizes(self, count: int) -> np.ndarray:
         """Two-point 40 B / 1500 B size mixture hitting the configured mean."""
         mtu_prob = (self.config.mean_packet_bytes - 40.0) / (1500.0 - 40.0)
-        big = self._rng.random(count) < mtu_prob
-        return np.where(big, 1500, 40).astype(np.int64)
+        # 40 + 1460 * big: branch-free, unlike np.where on random masks.
+        sizes = (self._rng.random(count) < mtu_prob).astype(np.int64)
+        sizes *= 1500 - 40
+        sizes += 40
+        return sizes
 
     # -- main loop ----------------------------------------------------------
 
@@ -269,10 +291,12 @@ class SyntheticTraceGenerator:
         rates = self._epoch_rates(num_epochs)
         active = self._initial_active()
         self.episodes = self._schedule_episodes()
+        boosts = _EpisodeBoosts(self.episodes, self.population)
 
         ts_parts: list[np.ndarray] = []
         rank_parts: list[np.ndarray] = []
         size_parts: list[np.ndarray] = []
+        cdf = cdf_active = cdf_overlaps = None
 
         for e in range(num_epochs):
             t0 = e * epoch_len
@@ -283,14 +307,23 @@ class SyntheticTraceGenerator:
             if not active.any():
                 active = self._initial_active()
 
-            weights = self._episode_weights(self.episodes, t0, t1)
-            weights *= active.astype(np.float64)
-            if weights.sum() <= 0:
-                weights = np.ones(self.population)
+            # The weights, and with them the sampling CDF, change only
+            # when the active set or an episode's overlap does; the
+            # epoch's bursts draw from the same CDF.
+            overlaps = boosts.overlaps(t0, t1)
+            if active is not cdf_active or not np.array_equal(
+                overlaps, cdf_overlaps
+            ):
+                weights = boosts.weights(overlaps)
+                weights *= active
+                if weights.sum() <= 0:
+                    weights = np.ones(self.population)
+                cdf = self.zipf.weighted_cdf(weights)
+                cdf_active, cdf_overlaps = active, overlaps
 
             n = int(self._rng.poisson(rates[e] * span))
             if n:
-                ranks = self.zipf.sample_weighted(n, weights)
+                ranks = self.zipf.sample(n, cdf)
                 ts = self._epoch_timestamps(ranks, t0, t1)
                 ts_parts.append(ts)
                 rank_parts.append(ranks)
@@ -298,7 +331,7 @@ class SyntheticTraceGenerator:
 
             n_bursts = int(self._rng.poisson(cfg.bursts.bursts_per_epoch))
             for _ in range(n_bursts):
-                b = self._burst(t0, t1, weights)
+                b = self._burst(t0, t1, cdf)
                 if b is not None:
                     ts_parts.append(b[0])
                     rank_parts.append(b[1])
@@ -333,40 +366,64 @@ class SyntheticTraceGenerator:
         lognormal weights, so any given 100 ms holds anywhere between ~zero
         and several times a source's average — the heavy small-timescale
         variance of real backbone traffic.
+
+        Per source, in rank order: ``lognormal`` slot weights, then
+        ``random(2k)`` for its ``k`` packets — ``k`` inverse-CDF slot
+        draws, then ``k`` in-slot offsets, the same draws in the same
+        order as ``choice(num_slots, k, p=weights)`` and ``uniform(0, 1,
+        k)``.  Only those draws run per source; normalising, the CDFs and
+        the slot lookups run once for the epoch, as 2-D passes.
         """
         cfg = self.config.bursts
         n = len(ranks)
-        ts = np.empty(n, dtype=np.float64)
         num_slots = max(1, int(round((t1 - t0) / cfg.slot_s)))
         slot_edges = np.linspace(t0, t1, num_slots + 1)
-        order = np.argsort(ranks, kind="stable")
-        sorted_ranks = ranks[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ranks)) + 1
-        for group in np.split(order, boundaries):
-            k = len(group)
-            weights = self._rng.lognormal(0.0, cfg.slot_sigma, num_slots)
-            weights /= weights.sum()
-            # Inverse-CDF slot draws, then in-slot offsets: the same draws
-            # in the same order as ``choice(num_slots, k, p=weights)`` and
-            # ``uniform(0, 1, k)``, without choice's per-call validation.
-            u = self._rng.random(2 * k)
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            slots = cdf.searchsorted(u[:k], side="right")
-            ts[group] = slot_edges[slots] + u[k:] * (
-                slot_edges[slots + 1] - slot_edges[slots]
-            )
+        # Stable rank order: the keys rank * n + index are distinct, so a
+        # plain sort of them is stable in rank.
+        key = np.sort(ranks * n + np.arange(n))
+        order = key % n
+        starts = np.flatnonzero(np.diff(key // n, prepend=-1))
+        counts = np.diff(starts, append=n)
+        weights = np.empty((len(counts), num_slots))
+        u = np.empty(2 * n)
+        lognormal, random = self._rng.lognormal, self._rng.random
+        end = 0
+        for g, k in enumerate(counts.tolist()):
+            weights[g] = lognormal(0.0, cfg.slot_sigma, num_slots)
+            begin = end
+            end += 2 * k
+            random(out=u[begin:end])  # the draws of random(2 * k)
+        weights /= weights.sum(axis=1, keepdims=True)
+        # One column per slot: cdf[j, g] is source g's CDF at slot j.
+        cdf = np.cumsum(weights.T, axis=0)
+        cdf /= cdf[-1]
+        # Packet i of the rank-sorted epoch is packet i - start of its
+        # source, so its slot draw sits at u[start + i] and its offset k
+        # words later.
+        group = np.repeat(np.arange(len(counts)), counts)
+        draw = starts[group] + np.arange(n)
+        slot_u = u[draw]
+        offset_u = u[draw + counts[group]]
+        # searchsorted(cdf_row, x, side="right") on a sorted row is the
+        # number of entries <= x; the last entry, 1.0, never is.
+        slots = np.zeros(n, dtype=np.intp)
+        for column in cdf[:-1]:
+            slots += column[group] <= slot_u
+        left = slot_edges[slots]
+        ts = np.empty(n, dtype=np.float64)
+        ts[order] = left + offset_u * (slot_edges[slots + 1] - left)
         np.clip(ts, t0, t1 - 1e-9, out=ts)
         return ts
 
     def _burst(
-        self, t0: float, t1: float, weights: np.ndarray
+        self, t0: float, t1: float, cdf: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """One burst train from a single (weighted-random) source."""
+        """One burst train from a single source drawn from the epoch's
+        weighted ``cdf``."""
         cfg = self.config.bursts
         if cfg.burst_packets == 0:
             return None
-        rank = int(self.zipf.sample_weighted(1, weights)[0])
+        rank = int(self.zipf.sample(1, cdf)[0])
         start = float(self._rng.uniform(t0, max(t0, t1 - cfg.burst_span_s)))
         ts = np.sort(
             self._rng.uniform(start, start + cfg.burst_span_s, cfg.burst_packets)
@@ -386,12 +443,40 @@ class SyntheticTraceGenerator:
         n = len(ts)
         dst = self.destinations[self._rng.integers(len(self.destinations), size=n)]
         sport = self._rng.integers(1024, 65536, size=n, dtype=np.uint32)
-        dport = self._rng.choice(_WELL_KNOWN_PORTS, size=n, p=_WELL_KNOWN_WEIGHTS)
-        proto = np.where(self._rng.random(n) < 0.8, 6, 17).astype(np.uint8)
+        dport = _WELL_KNOWN_PORTS[_port_index(self._rng.random(n))]
+        tcp = (self._rng.random(n) < 0.8).view(np.uint8)
+        proto = np.uint8(17) - np.uint8(11) * tcp  # 6 (TCP) or 17 (UDP)
         return Trace(
-            ts, src, dst, sizes,
-            sport.astype(np.uint16), dport.astype(np.uint16), proto,
+            ts, src, dst, sizes, sport.astype(np.uint16), dport, proto
         )
+
+
+class _EpisodeBoosts:
+    """The episodes' weight multipliers, epoch by epoch."""
+
+    def __init__(self, episodes: list[HeavyEpisode], population: int) -> None:
+        self.population = population
+        self.start = np.array([ep.start for ep in episodes])
+        self.end = np.array([ep.end for ep in episodes])
+        self.boost = np.array([ep.boost for ep in episodes])
+        self.ranks = [np.array(ep.source_ranks) for ep in episodes]
+
+    def overlaps(self, t0: float, t1: float) -> np.ndarray:
+        """Each episode's :meth:`HeavyEpisode.overlap` with [t0, t1), as a
+        fraction of the span."""
+        overlap = np.minimum(self.end, t1) - np.maximum(self.start, t0)
+        return np.maximum(overlap, 0.0) / (t1 - t0)
+
+    def weights(self, overlaps: np.ndarray) -> np.ndarray:
+        """Multiplicative weight vector from the episodes' ``overlaps``.
+
+        Each overlapping episode multiplies its sources' weights by
+        ``1 + (boost - 1) * overlap``, in schedule order.
+        """
+        weights = np.ones(self.population, dtype=np.float64)
+        for i in np.flatnonzero(overlaps > 0.0):
+            weights[self.ranks[i]] *= 1.0 + (self.boost[i] - 1.0) * overlaps[i]
+        return weights
 
 
 def generate_trace(config: SyntheticTraceConfig) -> Trace:

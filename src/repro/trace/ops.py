@@ -23,21 +23,24 @@ def shift_trace(trace: Trace, dt: float) -> Trace:
 
 
 def concat_traces(traces: Sequence[Trace]) -> Trace:
-    """Merge traces into one, re-sorting by timestamp.
+    """Merge traces into one, re-sorting by timestamp (stable).
 
-    Use with :func:`shift_trace` to splice scenarios end to end.
+    Use with :func:`shift_trace` to splice scenarios end to end.  Parts
+    already in time order (each starts no earlier than the one before it
+    ends, as spliced phases and consecutive stream slices do) concatenate
+    as they are: a stable sort would leave them in place.  A single
+    non-empty part is returned as it is.
     """
     parts = [t for t in traces if len(t)]
     if not parts:
         return Trace.empty()
-    ts = np.concatenate([t.ts for t in parts])
-    order = np.argsort(ts, kind="stable")
-    return Trace(
-        ts[order],
-        np.concatenate([t.src for t in parts])[order],
-        np.concatenate([t.dst for t in parts])[order],
-        np.concatenate([t.length for t in parts])[order],
-        np.concatenate([t.sport for t in parts])[order],
-        np.concatenate([t.dport for t in parts])[order],
-        np.concatenate([t.proto for t in parts])[order],
-    )
+    if len(parts) == 1:
+        return parts[0]
+    columns = [
+        np.concatenate([getattr(t, name) for t in parts])
+        for name in Trace.__slots__
+    ]
+    if any(a.end_time > b.start_time for a, b in zip(parts, parts[1:])):
+        order = np.argsort(columns[0], kind="stable")
+        columns = [column[order] for column in columns]
+    return Trace(*columns)

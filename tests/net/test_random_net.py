@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.net.random_net import RandomAddressSpace
@@ -38,6 +39,39 @@ class TestRandomAddressSpace:
     def test_draw_hosts_count(self):
         space = RandomAddressSpace(rng=random.Random(4))
         assert len(space.draw_hosts(17)) == 17
+
+    @pytest.mark.parametrize("count", [0, 1, 5000])
+    @pytest.mark.parametrize("shape", [
+        # 352 subnets, not a power of two (the sensitivity preset's space)
+        dict(num_networks=22, subnets_per_network=16),
+        # 256 subnets: the choice rejects half of its words
+        dict(num_networks=16, subnets_per_network=16),
+        dict(num_networks=1, subnets_per_network=1),
+        # no host bits: every word is a subnet candidate
+        dict(num_networks=3, subnets_per_network=5, subnet_length=32),
+    ])
+    def test_draw_hosts_matches_draw_host_loop(self, shape, count):
+        """The vectorized draw is the scalar loop, word for word: the
+        same hosts, and the generator left in the same state."""
+        looped = RandomAddressSpace(rng=random.Random(9), **shape)
+        vectorized = RandomAddressSpace(rng=random.Random(9), **shape)
+        expected = [looped.draw_host() for _ in range(count)]
+        hosts = vectorized.draw_hosts(count)
+        assert hosts.dtype == np.uint32
+        assert hosts.tolist() == expected
+        assert vectorized._rng.getstate() == looped._rng.getstate()
+
+    def test_draw_hosts_refills_a_short_word_block(self, monkeypatch):
+        """A word block that runs out before the last host is drawn is
+        extended from the same stream: reads capped at 5 words still
+        match the loop."""
+        looped = RandomAddressSpace(rng=random.Random(3))
+        capped = RandomAddressSpace(rng=random.Random(3))
+        read = capped._words
+        monkeypatch.setattr(capped, "_words", lambda count: read(min(count, 5)))
+        expected = [looped.draw_host() for _ in range(300)]
+        assert capped.draw_hosts(300).tolist() == expected
+        assert capped._rng.getstate() == looped._rng.getstate()
 
     def test_network_of(self):
         space = RandomAddressSpace(rng=random.Random(6))

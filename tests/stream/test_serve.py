@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from repro.core import get_spec, make_detector
+from repro.core.checkpoint import encode
 from repro.engine import ServeError, ShardedDetector
 from repro.stream import (
     ServeRuntime,
@@ -319,6 +320,26 @@ class TestLiveLifecycle:
                 a.rebalance("m", target=b)
             # The tenant was not retired by the failed validation.
             assert a.tenants == ("m",)
+
+    @pytest.mark.parametrize("onto", ["other", "self"])
+    def test_rebalance_refuses_finished_tenant(self, onto):
+        """A tenant run to its max_packets end has nothing left to move:
+        rebalance raises ServeError before retiring it, so it stays on
+        its runtime with its pipeline state (it used to vanish from
+        both runtimes)."""
+        with ServeRuntime(workers=1, shards=2, chunk_size=CHUNK) as a, \
+                ServeRuntime(workers=1, shards=2, chunk_size=CHUNK) as b:
+            a.add_tenant("t", "countmin-hh", SPECS["alpha"],
+                         emit=EMIT, phi=PHI, max_packets=3000)
+            list(a.run())
+            before = a.checkpoint_tenant("t")
+            with pytest.raises(ServeError, match="max_packets"):
+                a.rebalance("t", target=b if onto == "other" else None)
+            assert a.tenants == ("t",)
+            assert b.tenants == ()
+            after = a.checkpoint_tenant("t")
+            assert after["offsets"]["packets"] == 3000
+            assert encode(after) == encode(before)
 
     def test_pipeline_raises_for_failed_and_unknown_tenants(self):
         with ServeRuntime(workers=1, shards=2, chunk_size=CHUNK) as runtime:

@@ -1,8 +1,14 @@
 """Stream sources: chunking, infinite generation, composition ops."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.stream import (
     InterleaveSource,
     ScenarioSource,
@@ -15,6 +21,23 @@ from repro.stream import (
     splice,
 )
 from repro.trace.spec import TraceSpec, TraceSpecError, build_trace
+
+
+#: A seedless scenario whose (every) cycle holds no packet.
+EMPTY_SEEDLESS = "caida:day=0,duration=0.0001"
+
+
+def _run_bounded(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``argv`` with this checkout's ``repro`` importable; a child
+    still running after 60 s fails the test instead of hanging it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        return subprocess.run(argv, capture_output=True, text=True,
+                              env=env, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv[-1]!r} still running after 60 s")
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +112,28 @@ class TestScenarioSource:
     def test_rejects_pcap(self):
         with pytest.raises(TraceSpecError, match="pcap"):
             ScenarioSource(TraceSpec.parse("pcap:/tmp/x.pcap"))
+
+    def test_empty_seedless_cycle_ends_the_stream(self):
+        """caida takes no seed, so every cycle is the same (here empty)
+        trace: the stream ends, as an empty TraceSource does, instead of
+        rebuilding that empty cycle forever.  Run in a child process with
+        a timeout, because the failure mode is a hang."""
+        script = (
+            "from repro.stream import ScenarioSource\n"
+            f"source = ScenarioSource({EMPTY_SEEDLESS!r})\n"
+            "print(len(list(source.chunks(8))))\n"
+        )
+        done = _run_bounded([sys.executable, "-c", script])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    def test_cli_streams_an_empty_seedless_repeat_and_exits(self):
+        done = _run_bounded([
+            sys.executable, "-m", "repro", "stream", "countmin-hh",
+            "--source", f"repeat:{EMPTY_SEEDLESS}", "--max-packets", "10",
+        ])
+        assert done.returncode == 0, done.stderr
+        assert "stream: 0 packets" in done.stdout
 
     def test_rejects_unknown_scenario_eagerly(self):
         with pytest.raises(TraceSpecError, match="registered scenarios"):

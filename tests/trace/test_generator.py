@@ -14,10 +14,14 @@ from repro.trace.config import (
 )
 from repro.trace.container import Trace
 from repro.trace.generator import (
+    _PORT_CDF,
     HeavyEpisode,
     SyntheticTraceGenerator,
+    _EpisodeBoosts,
+    _port_index,
     generate_trace,
 )
+from repro.stream.source import parse_stream_spec
 from repro.trace.spec import TraceSpec
 
 
@@ -39,7 +43,11 @@ class TestDeterminism:
 
 #: SHA-256 over all seven ``Trace`` columns of each preset, in slot order.
 #: A generator change that is meant to be byte-identical (same draws in the
-#: same order) must leave these pins alone.
+#: same order) must leave these pins alone.  Together they cover every
+#: scenario the generator serves: slot placement (caida, sensitivity, and
+#: a duration whose last epoch is short), 22 x 16 subnets and band
+#: subnets drawn after the source hosts (sensitivity, portscan), subnet
+#: and host episodes, bursts, churn, and the drift splice.
 PINNED_DIGESTS = {
     "caida:day=0,duration=10":
         "c612996f1c854a731d5fd5f75063b53fc9b071b36b641303dc9a279803b7bbb0",
@@ -53,16 +61,79 @@ PINNED_DIGESTS = {
         "7cdba0416a4bb6f116ecaa33b87bd5277fecb3c17e43ff67244d7513db148a84",
     "drift:duration=10":
         "f8e77c44d167a9073bb59b09a0568f77a3b2ad8d8607ee17751583749cb813a2",
+    "caida:day=2,duration=10.5":
+        "4296ed88f5a2eec448868423fa96edd5031a039f73315874cd9d9e781625ff4d",
+    "calm:duration=10":
+        "9290b87aff72b23b75cb60aa70889f9acab45fe368e2c958a3d1e37067a67099",
+    "ddos:duration=30":
+        "3a85a0f3bf7e0e944f98de820c2004725395f4d4232ecaecb280cba8a4ba1af7",
+    "ddos-burst:duration=20":
+        "4b53cf567d534e2acd616e69a8e86af4e6e27594a1cc6335e28fc2ab739a4bbf",
+    "zipf:duration=10":
+        "f59d19f60f4fe951786492287298c58eb163f9a1febbf3ac1d087c940451e4bf",
+    "zipf:duration=10,skew=0.5,sources=100":
+        "2e2dcdb67f6f1ebeb5b0b5e42c518686c6aca5fbad31bd5ce44a5395f2bc242d",
+    "flash-crowd:duration=10":
+        "a725d76355fb59993774af62da306e1f56f5caad40b01f9ec01b495297d3d1ca",
+    "portscan:duration=10":
+        "9b9245ee3b776f2e76178d87ac1521267c2b137ba9306eca55e1bc89b61b03e2",
+    "portscan:duration=10,scanners=8":
+        "85e8fac5e8a63f3fa28a6d526227c9c07ce45320b78288e1fff6181ef8dde697",
 }
+
+#: The first packets of two benchmark inputs (perfbench serve-crash's
+#: first tenant at seed 1, stream-evict's first day at seed 1), chunked
+#: as the benchmark reads them: (packets, SHA-256 of their columns).
+#: 140k drift packets span three cycles (each holds 50k-66k).
+PINNED_STREAM_DIGESTS = {
+    "repeat:drift:seed=1163865517@x20": (
+        140_000,
+        "9fa4ee50844605e9d32e5ffc233544671966a32d9fdac3d53c84529769b599f3",
+    ),
+    "repeat:caida:day=1,duration=120": (
+        3 * 8192,
+        "8e788c594a16bb89f7d6959d6f80c994e149ec637e69518000c72b860a78ba77",
+    ),
+}
+
+
+def _digest(traces):
+    digest = hashlib.sha256()
+    for trace in traces:
+        for name in Trace.__slots__:
+            digest.update(np.ascontiguousarray(getattr(trace, name)).tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_DIGESTS))
 def test_preset_build_is_byte_identical(spec):
     trace = TraceSpec.parse(spec).build(cache=False)
-    digest = hashlib.sha256()
-    for name in Trace.__slots__:
-        digest.update(np.ascontiguousarray(getattr(trace, name)).tobytes())
-    assert digest.hexdigest() == PINNED_DIGESTS[spec]
+    assert _digest([trace]) == PINNED_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_STREAM_DIGESTS))
+def test_benchmark_stream_is_byte_identical(spec):
+    packets, pinned = PINNED_STREAM_DIGESTS[spec]
+    taken, got = [], 0
+    for chunk in parse_stream_spec(spec).chunks(8192):
+        taken.append(chunk.slice_index(0, min(len(chunk), packets - got)))
+        got += len(taken[-1])
+        if got == packets:
+            break
+    assert got == packets
+    assert _digest(taken) == pinned
+
+
+def test_port_index_is_choice_searchsorted():
+    """Ports use ``choice``'s lookup, draws equal to a CDF entry
+    included."""
+    draws = np.concatenate([
+        np.random.default_rng(2).random(5000), _PORT_CDF[:-1],
+        np.nextafter(_PORT_CDF[:-1], 0.0), [0.0],
+    ])
+    assert np.array_equal(
+        _port_index(draws), _PORT_CDF.searchsorted(draws, side="right")
+    )
 
 
 class TestStructure:
@@ -109,6 +180,29 @@ class TestEpisodes:
         assert ep.overlap(0.0, 10.0) == 0.0
         assert ep.overlap(12.0, 13.0) == pytest.approx(1.0)
         assert ep.overlap(14.0, 20.0) == pytest.approx(1.0)
+
+    def test_epoch_weights_match_per_episode_loop(self):
+        """The vectorized overlaps give the weights the per-episode loop
+        over :meth:`HeavyEpisode.overlap` gives, bit for bit, including
+        a host boosted inside a boosted subnet."""
+        episodes = [
+            HeavyEpisode(0.2, 1.5, 0.05, 3.0, (1, 2, 3), True),
+            HeavyEpisode(0.9, 0.3, 0.05, 7.5, (2,), False),
+            HeavyEpisode(2.0, 4.0, 0.1, 1.7, (0, 4), True),
+        ]
+        boosts = _EpisodeBoosts(episodes, population=6)
+        for t0, t1 in [(0.0, 1.0), (1.0, 2.0), (0.5, 0.7), (1.7, 2.0),
+                       (2.0, 3.0), (5.9, 6.5), (7.0, 8.0)]:
+            expected = np.ones(6)
+            for ep in episodes:
+                frac = ep.overlap(t0, t1) / (t1 - t0)
+                if frac > 0.0:
+                    expected[list(ep.source_ranks)] *= (
+                        1.0 + (ep.boost - 1.0) * frac
+                    )
+            assert np.array_equal(
+                boosts.weights(boosts.overlaps(t0, t1)), expected
+            )
 
     def test_episode_raises_target_share(self):
         config = SyntheticTraceConfig(
@@ -222,3 +316,83 @@ class TestTimestampModels:
         smooth = generate_trace(self._config())
         slotted = generate_trace(self._config(slot_sigma=1.5))
         assert self._burstiness(slotted) > self._burstiness(smooth) * 1.5
+
+    @pytest.mark.parametrize("t0, t1, slot_s", [
+        (3.0, 4.0, 0.1),     # 10 slots, the presets' grid
+        (10.0, 10.5, 0.1),   # a short last epoch: 5 slots
+        (0.0, 0.04, 0.1),    # one slot
+        (0.0, 1.0, 0.3),     # 3 slots, edges off the slot grid
+        (0.0, 1.0, 0.02),    # 50 slots
+        (0.0, 2.0, 0.01),    # 200 slots
+    ])
+    def test_slot_placement_matches_per_source_loop(self, t0, t1, slot_s):
+        """The batched slot placement is the per-source loop it replaced,
+        bit for bit, and leaves the generator at the same draw."""
+        config = self._config(slot_sigma=1.2, slot_s=slot_s)
+        batched = SyntheticTraceGenerator(config)
+        looped = SyntheticTraceGenerator(config)
+        ranks = np.random.default_rng(4).zipf(1.3, 600) % 50
+        expected = _per_source_slot_placement(looped, ranks, t0, t1)
+        got = batched._slot_modulated_timestamps(ranks, t0, t1)
+        assert np.array_equal(got, expected)
+        assert batched._rng.random() == looped._rng.random()
+
+
+    def test_slot_placement_ties_match_per_source_loop(self):
+        """Slot draws that equal a CDF entry land where the loop's
+        ``searchsorted(side="right")`` puts them."""
+        config = self._config(slot_sigma=1.2)
+        weights = np.arange(1.0, 11.0)
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        ranks = np.repeat(np.arange(6), 9)
+        # Per source: its 9 slot draws (CDF entries), then 9 offsets.
+        draws = np.tile(np.concatenate([cdf[:-1], np.linspace(0, 0.9, 9)]), 6)
+        batched = SyntheticTraceGenerator(config)
+        looped = SyntheticTraceGenerator(config)
+        batched._rng = _FixedDraws(weights, draws)
+        looped._rng = _FixedDraws(weights, draws)
+        assert np.array_equal(
+            batched._slot_modulated_timestamps(ranks, 0.0, 1.0),
+            _per_source_slot_placement(looped, ranks, 0.0, 1.0),
+        )
+
+
+class _FixedDraws:
+    """Stands in for a numpy ``Generator``: ``lognormal`` returns the
+    given slot weights, ``random`` hands out the given draws in order."""
+
+    def __init__(self, weights, draws):
+        self.weights, self.draws, self.used = weights, draws, 0
+
+    def lognormal(self, mean, sigma, size):
+        return self.weights[:size].copy()
+
+    def random(self, size=None, out=None):
+        count = len(out) if out is not None else size
+        taken = self.draws[self.used:self.used + count]
+        self.used += count
+        if out is None:
+            return taken.copy()
+        out[:] = taken
+        return out
+
+
+def _per_source_slot_placement(gen, ranks, t0, t1):
+    """Slot placement one source at a time: the scalar reference for
+    ``SyntheticTraceGenerator._slot_modulated_timestamps``."""
+    cfg = gen.config.bursts
+    ts = np.empty(len(ranks))
+    num_slots = max(1, int(round((t1 - t0) / cfg.slot_s)))
+    edges = np.linspace(t0, t1, num_slots + 1)
+    order = np.argsort(ranks, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(ranks[order])) + 1):
+        k = len(group)
+        weights = gen._rng.lognormal(0.0, cfg.slot_sigma, num_slots)
+        weights /= weights.sum()
+        u = gen._rng.random(2 * k)
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        slots = cdf.searchsorted(u[:k], side="right")
+        ts[group] = edges[slots] + u[k:] * (edges[slots + 1] - edges[slots])
+    return np.clip(ts, t0, t1 - 1e-9)

@@ -1,5 +1,7 @@
 """Unit tests for repro.trace.zipf."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,24 +60,39 @@ class TestWeightedSampling:
         z = make(n=10)
         weights = np.ones(10)
         weights[3] = 0.0
-        ranks = z.sample_weighted(5000, weights)
+        ranks = z.sample(5000, z.weighted_cdf(weights))
         assert 3 not in set(ranks.tolist())
 
     def test_boost_increases_frequency(self):
         z = make(n=100, alpha=1.0, seed=2)
         weights = np.ones(100)
         weights[50] = 200.0
-        ranks = z.sample_weighted(50_000, weights)
+        ranks = z.sample(50_000, z.weighted_cdf(weights))
         boosted = np.mean(ranks == 50)
         assert boosted > z.probabilities[50] * 10
 
+    def test_sorted_lookup_matches_plain_searchsorted(self):
+        """sample() looks draws up in sorted order; the ranks are the
+        ones a plain searchsorted of the draws gives, for draws equal to
+        a CDF entry and zero-weight runs of equal entries too."""
+        weights = np.random.default_rng(1).random(500)
+        weights[100:140] = 0.0
+        cdf = make(n=500, alpha=1.1).weighted_cdf(weights)
+        draws = np.concatenate(
+            [np.random.default_rng(8).random(3000), cdf[:-1]]
+        )
+        fixed = SimpleNamespace(random=lambda count: draws[:count])
+        z = ZipfSampler(500, 1.1, fixed)
+        expected = np.searchsorted(cdf, draws, side="left")
+        assert np.array_equal(z.sample(len(draws), cdf), expected)
+
     def test_weights_length_validated(self):
         with pytest.raises(ValueError):
-            make(n=10).sample_weighted(5, np.ones(9))
+            make(n=10).weighted_cdf(np.ones(9))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            make(n=10).sample_weighted(5, np.zeros(10))
+            make(n=10).weighted_cdf(np.zeros(10))
 
 
 class TestReweightHead:
