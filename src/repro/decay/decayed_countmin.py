@@ -27,7 +27,7 @@ from repro.decay.batching import (
     merge_lazily_stamped,
 )
 from repro.decay.laws import DecayLaw, ExponentialDecay
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class DecayedCountMin(Detector):
@@ -38,7 +38,7 @@ class DecayedCountMin(Detector):
         width: int = 1024,
         rows: int = 4,
         law: DecayLaw | None = None,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if width < 1 or rows < 1:
             raise ValueError(f"need width, rows >= 1; got {width}x{rows}")
@@ -47,9 +47,8 @@ class DecayedCountMin(Detector):
         self.width = width
         self.rows = rows
         self.law = law
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._hashes = [family.function(r, width) for r in range(rows)]
-        self._vhashes = [family.function_array(r, width) for r in range(rows)]
         self._values = np.zeros((rows, width), dtype=np.float64)
         self._stamps = np.zeros((rows, width), dtype=np.float64)
 
@@ -81,9 +80,9 @@ class DecayedCountMin(Detector):
             super().update_batch(keys, weights, ts)
             return
         keys, weights, ts, decay_factor = prepared
-        for vh, values, stamps in zip(self._vhashes, self._values, self._stamps):
+        for h, values, stamps in zip(self._hashes, self._values, self._stamps):
             apply_decayed_batch(
-                values, stamps, [vh(keys)], weights, ts, decay_factor
+                values, stamps, [h.array(keys)], weights, ts, decay_factor
             )
 
     def estimate(self, key: int, now: float) -> float:
@@ -97,10 +96,6 @@ class DecayedCountMin(Detector):
             if best is None or v < best:
                 best = v
         return best if best is not None else 0.0
-
-    def contains(self, key: int, now: float, threshold: float = 0.0) -> bool:
-        """Membership with an optional decayed-volume threshold."""
-        return self.estimate(key, now) > threshold
 
     def reset(self) -> None:
         """Zero every cell and stamp, keeping the hash functions."""
@@ -127,7 +122,7 @@ def _decayed_cm_factory(
     width: int = 1024,
     rows: int = 4,
     law: DecayLaw | None = None,
-    family: HashFamily | None = None,
+    family: MultiplyShiftFamily | None = None,
 ) -> DecayedCountMin:
     """Registry factory with a default exponential law (tau = 10 s)."""
     return DecayedCountMin(width, rows, law or ExponentialDecay(tau=10.0), family)

@@ -35,7 +35,7 @@ from repro.decay.batching import (
     merge_lazily_stamped,
 )
 from repro.decay.laws import DecayLaw, ExponentialDecay
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class OnDemandTDBF(Detector):
@@ -46,7 +46,7 @@ class OnDemandTDBF(Detector):
         cells: int = 8192,
         hashes: int = 4,
         law: DecayLaw | None = None,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if cells < 1 or hashes < 1:
             raise ValueError(f"need cells, hashes >= 1; got {cells}, {hashes}")
@@ -55,9 +55,8 @@ class OnDemandTDBF(Detector):
         self.cells = cells
         self.hashes = hashes
         self.law = law
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._funcs = [family.function(i, cells) for i in range(hashes)]
-        self._vfuncs = [family.function_array(i, cells) for i in range(hashes)]
         self._values = np.zeros(cells, dtype=np.float64)
         self._stamps = np.zeros(cells, dtype=np.float64)
 
@@ -100,7 +99,7 @@ class OnDemandTDBF(Detector):
         keys, weights, ts, decay_factor = prepared
         apply_decayed_batch(
             self._values, self._stamps,
-            [vf(keys) for vf in self._vfuncs],
+            [f.array(keys) for f in self._funcs],
             weights, ts, decay_factor,
         )
 
@@ -119,10 +118,6 @@ class OnDemandTDBF(Detector):
             if best is None or v < best:
                 best = v
         return best if best is not None else 0.0
-
-    def contains(self, key: int, now: float, threshold: float = 0.0) -> bool:
-        """Membership with an optional volume threshold."""
-        return self.estimate(key, now) > threshold
 
     def reset(self) -> None:
         """Zero every cell and stamp, keeping the hash functions."""
@@ -148,7 +143,7 @@ def _ondemand_factory(
     cells: int = 8192,
     hashes: int = 4,
     law: DecayLaw | None = None,
-    family: HashFamily | None = None,
+    family: MultiplyShiftFamily | None = None,
 ) -> OnDemandTDBF:
     """Registry factory with a default exponential law (tau = 10 s)."""
     return OnDemandTDBF(cells, hashes, law or ExponentialDecay(tau=10.0), family)

@@ -29,7 +29,7 @@ from repro.core.detector import Detector
 from repro.core.registry import register_detector
 from repro.decay.batching import as_decayed_batch
 from repro.decay.laws import DecayLaw, ExponentialDecay
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class TimeDecayingBloomFilter(Detector):
@@ -40,7 +40,7 @@ class TimeDecayingBloomFilter(Detector):
         cells: int = 8192,
         hashes: int = 4,
         law: DecayLaw | None = None,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if cells < 1 or hashes < 1:
             raise ValueError(f"need cells, hashes >= 1; got {cells}, {hashes}")
@@ -49,9 +49,8 @@ class TimeDecayingBloomFilter(Detector):
         self.cells = cells
         self.hashes = hashes
         self.law = law
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._funcs = [family.function(i, cells) for i in range(hashes)]
-        self._vfuncs = [family.function_array(i, cells) for i in range(hashes)]
         self._array = np.zeros(cells, dtype=np.float64)
         self._clock = 0.0
 
@@ -105,19 +104,14 @@ class TimeDecayingBloomFilter(Detector):
         if newest > self._clock:
             self.tick(newest)
         contributions = weights * decay_factor(newest - frames)
-        for vf in self._vfuncs:
-            np.add.at(self._array, vf(keys), contributions)
+        for f in self._funcs:
+            np.add.at(self._array, f.array(keys), contributions)
 
     def estimate(self, key: int, now: float | None = None) -> float:
         """Decayed volume overestimate (minimum over the key's cells)."""
         if now is not None and now > self._clock:
             self.tick(now)
         return float(min(self._array[f(key)] for f in self._funcs))
-
-    def contains(self, key: int, now: float | None = None,
-                 threshold: float = 0.0) -> bool:
-        """Membership with an optional volume threshold."""
-        return self.estimate(key, now) > threshold
 
     def reset(self) -> None:
         """Zero every cell and rewind the clock."""
@@ -134,7 +128,7 @@ def _tdbf_factory(
     cells: int = 8192,
     hashes: int = 4,
     law: DecayLaw | None = None,
-    family: HashFamily | None = None,
+    family: MultiplyShiftFamily | None = None,
 ) -> TimeDecayingBloomFilter:
     """Registry factory with a default exponential law (tau = 10 s)."""
     return TimeDecayingBloomFilter(

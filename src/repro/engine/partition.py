@@ -3,9 +3,10 @@
 The sharded engine routes every key to exactly one detector replica by
 hashing the key with a fixed salt that is independent of every hash family
 seed the detectors themselves use.  Scalar (:func:`shard_of_key`) and
-columnar (:func:`shard_ids`) routing are bit-exact twins, mirroring the
-scalar/vectorized hash pairs in :mod:`repro.hashing` — a key lands on the
-same shard whether it arrives through ``update`` or ``update_batch``.
+columnar (:func:`shard_ids`) routing are bit-exact twins, like ``h(key)``
+and ``h.array(keys)`` of the :mod:`repro.hashing` functions — a key lands
+on the same shard whether it arrives through ``update`` or
+``update_batch``.
 
 :func:`shard_order` groups one columnar batch's rows by shard with a
 single stable argsort, so each shard's slice stays time-sorted and
@@ -62,7 +63,11 @@ def shard_order(
     if n and bool((ids == ids[0]).all()):
         target = int(ids[0])
         return None, [0] * (target + 1) + [n] * (num_shards - target)
-    order = np.argsort(ids, kind="stable")
+    # The same permutation as sorting the int64 ids, but numpy sorts a
+    # dtype of 16 bits or less stably by radix: ~10x faster.
+    order = np.argsort(
+        ids.astype(np.min_scalar_type(num_shards - 1)), kind="stable"
+    )
     return order, np.searchsorted(ids[order], np.arange(num_shards + 1)).tolist()
 
 

@@ -7,8 +7,8 @@ transport: one :class:`multiprocessing.shared_memory.SharedMemory` block
 carved into ``num_slots`` fixed-capacity slots, each holding the three
 columns every ``update_batch`` call consumes —
 
-- ``keys``    — ``uint64`` (the canonical key dtype every vectorized hash
-  twin already reduces to, so transporting ``uint32`` trace columns as
+- ``keys``    — ``uint64`` (the canonical key dtype every vectorized
+  hash already reduces to, so transporting ``uint32`` trace columns as
   ``uint64`` is bit-identical);
 - ``weights`` — ``int64`` (the trace ``length`` dtype);
 - ``ts``      — ``float64``.

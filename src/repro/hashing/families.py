@@ -3,24 +3,24 @@
 A *hash family* hands out independent hash functions ``h_i: int -> [0, m)``
 from a single seed.  Sketches ask for ``rows`` functions at construction time
 and keep them for their lifetime, so the family objects are tiny and the
-returned callables carry plain integers only.
+returned functions carry plain integers only.
 
-Each family also hands out *vectorized* twins (``function_array`` /
-``sign_array``) mapping a uint64 numpy array of keys to an array of slots or
-signs in one shot.  The vectorized functions are bit-exact with their scalar
-counterparts — the batch update paths in :mod:`repro.core` rely on that to
-keep ``update_batch`` equivalent to repeated scalar ``update``.
+Each function is one object that hashes both ways: ``h(key)`` maps one
+Python int to a slot, and ``h.array(keys)`` maps a uint64 numpy array of
+keys to an array of slots in one shot.  The two are bit-exact — the batch
+update paths in :mod:`repro.core` rely on that to keep ``update_batch``
+equivalent to repeated scalar ``update`` — and since a detector keeps one
+object per function, its scalar and batch paths cannot hold different
+functions.
 
-The returned callables are module-level classes rather than closures so
-that every detector holding them is *picklable* — the sharded execution
-engine (:mod:`repro.engine`) ships detector shards across a process pool,
-which requires the whole detector state (hash functions included) to
-survive a pickle round-trip bit-exactly.
+The functions are module-level classes rather than closures so that every
+detector holding them is *picklable* — the sharded execution engine
+(:mod:`repro.engine`) ships detector shards across a process pool, which
+requires the whole detector state (hash functions included) to survive a
+pickle round-trip bit-exactly.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Protocol
 
 import numpy as np
 
@@ -30,9 +30,6 @@ _MASK64 = (1 << 64) - 1
 
 # A Mersenne prime; multiply-shift style universal hashing mod p.
 _PRIME = (1 << 61) - 1
-
-HashFunc = Callable[[int], int]
-ArrayHashFunc = Callable[[np.ndarray], np.ndarray]
 
 # Large chunks are hashed in blocks of this many elements: the mod-p
 # arithmetic spawns ~30 same-sized temporaries, and keeping each one small
@@ -96,36 +93,21 @@ def _affine_mod_p(keys: np.ndarray, a: int, b: int) -> np.ndarray:
         + _fold_mod_p(a_lo * k_lo)
         + np.uint64(b)
     )
-    # Each addend is < 2^61 + 8, so one fold lands below 2*p and a single
-    # conditional subtract canonicalizes.
+    # Each addend is < 2^61 + 8, so one fold lands below p + 9.  Below p,
+    # total - p wraps past 2^64 - p, so the smaller value is the residue.
     total = _fold_mod_p(total)
-    return np.where(total >= np.uint64(_PRIME), total - np.uint64(_PRIME), total)
+    return np.minimum(total, total - np.uint64(_PRIME))
 
 
-class _ParamHashBase:
-    """Shared identity for the parameterised hash callables.
+class _AffineSlot:
+    """``((a*key + b) mod p) mod m`` over one key or a uint64 key array.
 
-    Two functions are equal iff they are the same class with the same
-    parameters — what merge validation needs to tell "same family and
-    seed" apart from "same geometry, different hashes".
+    ``h(key)`` takes any Python int modulo 2^64 and ``h.array(keys)`` a
+    uint64 array; the two agree bit for bit.  Two functions are equal iff
+    they are the same class with the same parameters — what merge
+    validation needs to tell "same family and seed" apart from "same
+    geometry, different hashes".
     """
-
-    __slots__ = ()
-
-    def _state(self) -> tuple:
-        return tuple(int(getattr(self, s)) for s in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and (
-            other._state() == self._state()  # type: ignore[attr-defined]
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._state()))
-
-
-class _AffineSlot(_ParamHashBase):
-    """Scalar ``((a*key + b) mod p) mod m`` (picklable closure stand-in)."""
 
     __slots__ = ("a", "b", "m")
 
@@ -135,84 +117,41 @@ class _AffineSlot(_ParamHashBase):
     def __call__(self, key: int) -> int:
         return ((self.a * (key & _MASK64) + self.b) % _PRIME) % self.m
 
-
-class _AffineSign(_ParamHashBase):
-    """Scalar pairwise-independent +/-1 function (picklable)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int) -> None:
-        self.a, self.b = a, b
-
-    def __call__(self, key: int) -> int:
-        return 1 if ((self.a * (key & _MASK64) + self.b) % _PRIME) & 1 else -1
-
-
-class _AffineSlotArray(_ParamHashBase):
-    """Vectorized twin of :class:`_AffineSlot` (bit-exact, picklable)."""
-
-    __slots__ = ("a", "b", "m")
-
-    def __init__(self, a: int, b: int, m: int) -> None:
-        self.a, self.b = a, b
-        self.m = np.uint64(m)
-
-    def __getstate__(self):
-        return (self.a, self.b, int(self.m))
-
-    def __setstate__(self, state) -> None:
-        self.a, self.b, m = state
-        self.m = np.uint64(m)
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
+    def array(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of every key of a uint64 array."""
         h = _blocked_affine(keys, self.a, self.b)
-        m = int(self.m)
+        m = self.m
         if m & (m - 1) == 0:
             # Power-of-two range: identical result, mask beats division.
             h &= np.uint64(m - 1)
-            return h
-        h %= self.m
+        else:
+            h %= np.uint64(m)
         return h
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (
+            (other.a, other.b, other.m) == (self.a, self.b, self.m)
+        )
 
-class _AffineSignArray(_ParamHashBase):
-    """Vectorized twin of :class:`_AffineSign` (bit-exact, picklable)."""
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.a, self.b, self.m))
 
-    __slots__ = ("a", "b")
+
+class _AffineSign(_AffineSlot):
+    """Pairwise-independent +/-1 function: the ``m = 2`` slot ``s`` as
+    ``2s - 1``."""
+
+    __slots__ = ()
 
     def __init__(self, a: int, b: int) -> None:
-        self.a, self.b = a, b
+        super().__init__(a, b, 2)
 
-    def __getstate__(self):
-        return (self.a, self.b)
+    def __call__(self, key: int) -> int:
+        return 2 * super().__call__(key) - 1
 
-    def __setstate__(self, state) -> None:
-        self.a, self.b = state
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        odd = _blocked_affine(keys, self.a, self.b) & np.uint64(1)
-        return np.where(odd.astype(bool), 1, -1).astype(np.int64)
-
-
-class HashFamily(Protocol):
-    """Protocol for seeded hash families used by sketches."""
-
-    def function(self, index: int, range_size: int) -> HashFunc:
-        """The ``index``-th function of the family, mapping into
-        ``[0, range_size)``."""
-        ...
-
-    def sign_function(self, index: int) -> HashFunc:
-        """A +/-1 valued function (for Count-Sketch style estimators)."""
-        ...
-
-    def function_array(self, index: int, range_size: int) -> ArrayHashFunc:
-        """Vectorized twin of :meth:`function` over uint64 key arrays."""
-        ...
-
-    def sign_array(self, index: int) -> ArrayHashFunc:
-        """Vectorized twin of :meth:`sign_function` (int64 +/-1 array)."""
-        ...
+    def array(self, keys: np.ndarray) -> np.ndarray:
+        """The int64 sign of every key of a uint64 array."""
+        return 2 * super().array(keys).view(np.int64) - 1
 
 
 class MultiplyShiftFamily:
@@ -231,36 +170,19 @@ class MultiplyShiftFamily:
         b = splitmix64(base ^ 0xDEADBEEF) % _PRIME
         return a, b
 
-    def function(self, index: int, range_size: int) -> HashFunc:
+    def function(self, index: int, range_size: int) -> _AffineSlot:
         """2-universal function into ``[0, range_size)``.
 
         Keys are taken modulo 2^64 (two's-complement wrap for negatives) so
-        scalar hashing agrees bit-exactly with the uint64 vectorized twin
-        for any Python int.
+        ``h(key)`` agrees bit-exactly with ``h.array`` over the wrapped
+        uint64 key for any Python int.
         """
         if range_size <= 0:
             raise ValueError(f"range_size must be positive, got {range_size}")
         a, b = self._params(index)
         return _AffineSlot(a, b, range_size)
 
-    def sign_function(self, index: int) -> HashFunc:
+    def sign_function(self, index: int) -> _AffineSign:
         """Pairwise-independent +/-1 function."""
         a, b = self._params(index ^ 0x5A5A5A5A)
         return _AffineSign(a, b)
-
-    def function_array(self, index: int, range_size: int) -> ArrayHashFunc:
-        """Vectorized 2-universal function (bit-exact with scalar)."""
-        if range_size <= 0:
-            raise ValueError(f"range_size must be positive, got {range_size}")
-        a, b = self._params(index)
-        return _AffineSlotArray(a, b, range_size)
-
-    def sign_array(self, index: int) -> ArrayHashFunc:
-        """Vectorized +/-1 function (bit-exact with scalar)."""
-        a, b = self._params(index ^ 0x5A5A5A5A)
-        return _AffineSignArray(a, b)
-
-
-def pairwise_indep_family(seed: int = 0) -> MultiplyShiftFamily:
-    """The default family sketches use when the caller does not care."""
-    return MultiplyShiftFamily(seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.detector import Detector, as_batch, as_uint64_keys
 from repro.core.registry import register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class BloomFilter(Detector):
@@ -24,15 +24,14 @@ class BloomFilter(Detector):
         self,
         bits: int = 8192,
         hashes: int = 4,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if bits < 1 or hashes < 1:
             raise ValueError(f"need bits, hashes >= 1; got {bits}, {hashes}")
         self.bits = bits
         self.hashes = hashes
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._funcs = [family.function(i, bits) for i in range(hashes)]
-        self._vfuncs = [family.function_array(i, bits) for i in range(hashes)]
         self._array = np.zeros((bits + 7) // 8, dtype=np.uint8)
         self.inserted = 0
 
@@ -51,8 +50,8 @@ class BloomFilter(Detector):
         """Vectorized batch insertion (one bit-OR scatter per function)."""
         keys, _, _ = as_batch(keys, weights, ts)
         keys = as_uint64_keys(keys)
-        for vf in self._vfuncs:
-            idx = vf(keys)
+        for f in self._funcs:
+            idx = f.array(keys)
             np.bitwise_or.at(
                 self._array,
                 (idx >> np.uint64(3)).astype(np.intp),

@@ -21,7 +21,7 @@ from repro.core.detector import (
     ensure_nonnegative_weights,
 )
 from repro.core.registry import register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class CountingBloomFilter(Detector):
@@ -31,15 +31,14 @@ class CountingBloomFilter(Detector):
         self,
         cells: int = 8192,
         hashes: int = 4,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if cells < 1 or hashes < 1:
             raise ValueError(f"need cells, hashes >= 1; got {cells}, {hashes}")
         self.cells = cells
         self.hashes = hashes
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._funcs = [family.function(i, cells) for i in range(hashes)]
-        self._vfuncs = [family.function_array(i, cells) for i in range(hashes)]
         self._array = np.zeros(cells, dtype=np.int64)
 
     def add(self, key: int, weight: int = 1) -> None:
@@ -58,8 +57,8 @@ class CountingBloomFilter(Detector):
         keys, weights, _ = as_batch(keys, weights, ts)
         keys = as_uint64_keys(keys)
         weights = ensure_nonnegative_weights(weights).astype(np.int64)
-        for vf in self._vfuncs:
-            np.add.at(self._array, vf(keys), weights)
+        for f in self._funcs:
+            np.add.at(self._array, f.array(keys), weights)
 
     def remove(self, key: int, weight: int = 1) -> None:
         """Subtract ``weight`` from ``key``'s cells (floored at zero).

@@ -27,7 +27,7 @@ from repro.core.detector import (
 )
 from repro.core.flat_table import grouped_cumsum
 from repro.core.registry import AccuracyFloor, register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class CountMinSketch(Detector):
@@ -37,15 +37,14 @@ class CountMinSketch(Detector):
         self,
         width: int = 1024,
         rows: int = 4,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if width < 1 or rows < 1:
             raise ValueError(f"need width, rows >= 1; got {width}x{rows}")
         self.width = width
         self.rows = rows
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._hashes = [family.function(r, width) for r in range(rows)]
-        self._vhashes = [family.function_array(r, width) for r in range(rows)]
         self._table = np.zeros((rows, width), dtype=np.int64)
         self.total = 0
 
@@ -65,8 +64,8 @@ class CountMinSketch(Detector):
         # Counters truncate like the scalar path's int64 setitem; `total`
         # accumulates the given weights untruncated, also like scalar.
         int_weights = weights.astype(np.int64)
-        for row, vh in zip(self._table, self._vhashes):
-            np.add.at(row, vh(keys), int_weights)
+        for row, h in zip(self._table, self._hashes):
+            np.add.at(row, h.array(keys), int_weights)
         self.total += weights.sum().item()
 
     def estimate(self, key: int) -> int:
@@ -117,7 +116,7 @@ class CountMinHeavyHitters(Detector):
         width: int = 1024,
         rows: int = 4,
         track_phi: float = 0.001,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if not 0.0 < track_phi < 1.0:
             raise ValueError(f"track_phi must be in (0, 1), got {track_phi}")
@@ -168,8 +167,8 @@ class CountMinHeavyHitters(Detector):
         # that cell so far), exactly as the scalar path would read it.
         cells_rows = []
         est = None
-        for row, vh in zip(sketch._table, sketch._vhashes):
-            cells = vh(ku)
+        for row, h in zip(sketch._table, sketch._hashes):
+            cells = h.array(ku)
             cells_rows.append(cells)
             vals = row[cells] + grouped_cumsum(cells, iw)
             est = vals if est is None else np.minimum(est, vals)

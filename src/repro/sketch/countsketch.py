@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.detector import Detector, as_batch, as_uint64_keys
 from repro.core.registry import register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class CountSketch(Detector):
@@ -27,7 +27,7 @@ class CountSketch(Detector):
         self,
         width: int = 1024,
         rows: int = 5,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if width < 1 or rows < 1:
             raise ValueError(f"need width, rows >= 1; got {width}x{rows}")
@@ -35,11 +35,9 @@ class CountSketch(Detector):
             raise ValueError("rows must be odd so the median is a cell value")
         self.width = width
         self.rows = rows
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._hashes = [family.function(r, width) for r in range(rows)]
         self._signs = [family.sign_function(r) for r in range(rows)]
-        self._vhashes = [family.function_array(r, width) for r in range(rows)]
-        self._vsigns = [family.sign_array(r) for r in range(rows)]
         self._table = np.zeros((rows, width), dtype=np.int64)
         self.total = 0
 
@@ -60,8 +58,8 @@ class CountSketch(Detector):
         keys = as_uint64_keys(keys)
         weights = np.asarray(weights)
         int_weights = weights.astype(np.int64)
-        for row, vh, vs in zip(self._table, self._vhashes, self._vsigns):
-            np.add.at(row, vh(keys), vs(keys) * int_weights)
+        for row, h, s in zip(self._table, self._hashes, self._signs):
+            np.add.at(row, h.array(keys), s.array(keys) * int_weights)
         self.total += weights.sum().item()
 
     def estimate(self, key: int) -> float:

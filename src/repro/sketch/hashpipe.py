@@ -38,7 +38,7 @@ from repro.core.detector import (
     ensure_nonnegative_weights,
 )
 from repro.core.registry import AccuracyFloor, register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 
 
 class HashPipe(Detector):
@@ -48,7 +48,7 @@ class HashPipe(Detector):
         self,
         stage_slots: int = 256,
         stages: int = 4,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if stage_slots < 1 or stages < 1:
             raise ValueError(
@@ -56,12 +56,8 @@ class HashPipe(Detector):
             )
         self.stage_slots = stage_slots
         self.stages = stages
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._hashes = [family.function(s, stage_slots) for s in range(stages)]
-        self._vhash0 = family.function_array(0, stage_slots)
-        self._vhash1 = (
-            family.function_array(1, stage_slots) if stages > 1 else None
-        )
         self._keys = [
             np.zeros(stage_slots, dtype=np.uint64) for _ in range(stages)
         ]
@@ -129,7 +125,7 @@ class HashPipe(Detector):
         ku = as_uint64_keys(keys)
         w = ensure_nonnegative_weights(weights).astype(np.float64)
         self.total += w.sum().item()
-        h0 = self._vhash0(ku)
+        h0 = self._hashes[0].array(ku)
         keys0, counts0, occ0 = self._keys[0], self._counts[0], self._occ[0]
         # Partition stage-0 slots by how many distinct keys land on them in
         # this chunk.  Single-key slots — the common case at low load — need
@@ -236,7 +232,7 @@ class HashPipe(Detector):
                 # the same slot (and pairs hitting occupied slots) replay
                 # through the scalar cascade in packet order and see the
                 # placed entries exactly as the scalar path would.
-                h1 = self._vhash1(ek)
+                h1 = self._hashes[1].array(ek)
                 keys1, counts1, occ1 = (
                     self._keys[1], self._counts[1], self._occ[1]
                 )

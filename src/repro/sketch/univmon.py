@@ -31,7 +31,7 @@ from repro.core.detector import (
     ensure_nonnegative_weights,
 )
 from repro.core.registry import AccuracyFloor, register_detector
-from repro.hashing.families import HashFamily, pairwise_indep_family
+from repro.hashing.families import MultiplyShiftFamily
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.spacesaving import SpaceSaving
 
@@ -51,18 +51,15 @@ class UnivMon(Detector):
         width: int = 512,
         rows: int = 5,
         top_k: int = 64,
-        family: HashFamily | None = None,
+        family: MultiplyShiftFamily | None = None,
     ) -> None:
         if levels < 1:
             raise ValueError(f"need at least one level, got {levels}")
         self.levels = levels
         self.top_k = top_k
-        family = family or pairwise_indep_family()
+        family = family or MultiplyShiftFamily()
         self._sample_bits = [
             family.function(1000 + i, 2) for i in range(levels - 1)
-        ]
-        self._vsample_bits = [
-            family.function_array(1000 + i, 2) for i in range(levels - 1)
         ]
         self._sketches = [
             CountSketch(width=width, rows=rows, family=family)
@@ -104,8 +101,8 @@ class UnivMon(Detector):
         w = ensure_nonnegative_weights(weights)
         depth = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
-        for vbit in self._vsample_bits:
-            alive = alive & (vbit(ku) == 1)
+        for bit in self._sample_bits:
+            alive = alive & (bit.array(ku) == 1)
             if not alive.any():
                 break
             depth += alive

@@ -128,13 +128,13 @@ def test_merge_rejects_wrong_type():
 def test_merge_rejects_different_hash_families():
     """Same geometry but different seeds hashes keys to different cells;
     summing those tables silently corrupts estimates, so merge must refuse."""
-    from repro.hashing.families import pairwise_indep_family
+    from repro.hashing.families import MultiplyShiftFamily
 
     for name in ("countmin", "countsketch", "bloom", "counting-bloom",
                  "decayed-countmin", "ondemand-tdbf"):
         spec = get_spec(name)
         default = spec.factory()
-        reseeded = spec.factory(family=pairwise_indep_family(seed=7))
+        reseeded = spec.factory(family=MultiplyShiftFamily(seed=7))
         with pytest.raises(ValueError, match="hash"):
             default.merge(reseeded)
 

@@ -55,8 +55,8 @@ class TestDecayedCountMin:
     def test_contains_threshold(self):
         cm = DecayedCountMin(width=128, rows=3, law=LinearDecay(rate=10.0))
         cm.update(9, 50.0, ts=0.0)
-        assert cm.contains(9, now=1.0, threshold=30.0)
-        assert not cm.contains(9, now=5.0, threshold=30.0)
+        assert cm.estimate(9, now=1.0) == pytest.approx(40.0)
+        assert cm.estimate(9, now=5.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -40,8 +40,8 @@ class TestSynchronousTDBF:
     def test_contains_with_threshold(self):
         f = self.make(law=LinearDecay(rate=10.0))
         f.update(3, 50.0, ts=0.0)
-        assert f.contains(3, now=1.0, threshold=30.0)
-        assert not f.contains(3, now=4.9, threshold=30.0)
+        assert f.estimate(3, now=1.0) == pytest.approx(40.0)
+        assert f.estimate(3, now=4.9) == pytest.approx(1.0)
 
     def test_never_underestimates_single_key(self):
         # Bloom collisions only ever add mass: min-cell is an overestimate.

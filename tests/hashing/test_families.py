@@ -1,9 +1,18 @@
 """Unit tests for repro.hashing.families."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashing.families import MultiplyShiftFamily, pairwise_indep_family
+from repro.hashing.families import (
+    _PRIME,
+    MultiplyShiftFamily,
+    _AffineSign,
+    _AffineSlot,
+    _affine_mod_p,
+)
 
 keys = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -51,17 +60,40 @@ class TestFamilies:
         assert min(buckets) > 700  # expected 1000 each
 
 
-def test_default_family_is_multiply_shift():
-    assert isinstance(pairwise_indep_family(), MultiplyShiftFamily)
+def test_equality_tells_kind_and_parameters_apart():
+    """Merge validation compares functions: equal only for the same kind
+    with the same parameters, and still so after a pickle round trip."""
+    family = MultiplyShiftFamily(seed=5)
+    assert family.function(0, 64) == MultiplyShiftFamily(seed=5).function(0, 64)
+    assert family.function(0, 64) != MultiplyShiftFamily(seed=6).function(0, 64)
+    assert family.function(0, 64) != family.function(0, 128)
+    sign = family.sign_function(0)
+    assert sign == family.sign_function(0)
+    assert sign != family.sign_function(1)
+    assert sign != _AffineSlot(sign.a, sign.b, 2)
+    assert pickle.loads(pickle.dumps(sign)) == sign
+
+
+def test_final_mod_p_subtract():
+    """``a=1, b=p-1`` folds every key k >= 1 to ``k + p - 1 >= p``, the
+    case the last reduction step exists for (random keys reach it with
+    probability ~2^-58)."""
+    keys = np.arange(20, dtype=np.uint64)
+    expected = [(k + _PRIME - 1) % _PRIME for k in range(20)]
+    assert _affine_mod_p(keys, 1, _PRIME - 1).tolist() == expected
+    h = _AffineSlot(1, _PRIME - 1, 1 << 62)
+    assert h.array(keys).tolist() == [h(k) for k in range(20)] == expected
+    s = _AffineSign(1, _PRIME - 1)
+    assert s.array(keys).tolist() == [s(k) for k in range(20)] == [
+        2 * (v & 1) - 1 for v in expected
+    ]
 
 
 @pytest.mark.parametrize("family_cls", [MultiplyShiftFamily])
 class TestVectorizedTwins:
-    """function_array / sign_array must be bit-exact with the scalars."""
+    """``h.array`` must be bit-exact with ``h`` on every key."""
 
     def test_function_array_matches_scalar(self, family_cls):
-        import numpy as np
-
         family = family_cls(seed=9)
         rng = np.random.default_rng(1)
         batches = [
@@ -73,35 +105,23 @@ class TestVectorizedTwins:
         for index in range(3):
             for m in (2, 7, 1024, 12345):
                 h = family.function(index, m)
-                hv = family.function_array(index, m)
                 for keys_arr in batches:
                     expected = [h(int(k)) for k in keys_arr]
-                    assert hv(keys_arr).tolist() == expected
+                    assert h.array(keys_arr).tolist() == expected
 
     def test_sign_array_matches_scalar(self, family_cls):
-        import numpy as np
-
         family = family_cls(seed=9)
         rng = np.random.default_rng(2)
         keys_arr = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
         for index in range(3):
             s = family.sign_function(index)
-            sv = family.sign_array(index)
-            assert sv(keys_arr).tolist() == [s(int(k)) for k in keys_arr]
-
-    def test_function_array_validation(self, family_cls):
-        with pytest.raises(ValueError):
-            family_cls().function_array(0, 0)
+            assert s.array(keys_arr).tolist() == [s(int(k)) for k in keys_arr]
 
     def test_negative_keys_reduce_like_uint64_wrap(self, family_cls):
-        import numpy as np
-
         family = family_cls(seed=11)
         h = family.function(0, 4096)
-        hv = family.function_array(0, 4096)
         s = family.sign_function(0)
-        sv = family.sign_array(0)
         raw = [-1, -10, -(2**40), -(2**63)]
         wrapped = np.array([k & ((1 << 64) - 1) for k in raw], dtype=np.uint64)
-        assert [h(k) for k in raw] == hv(wrapped).tolist()
-        assert [s(k) for k in raw] == sv(wrapped).tolist()
+        assert [h(k) for k in raw] == h.array(wrapped).tolist()
+        assert [s(k) for k in raw] == s.array(wrapped).tolist()

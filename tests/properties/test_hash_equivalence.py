@@ -1,10 +1,10 @@
-"""Randomized property: vectorized hashes are bit-exact scalar twins.
+"""Randomized property: every hash function's array path is bit-exact.
 
-The batch engine's correctness rests on ``function_array``/``sign_array``
-agreeing with their scalar counterparts for *every* seed, function index,
-range size, and key — including the uint64 wrap of negative and
-arbitrary-precision keys.  ~200 random seeds per family; no external
-property-testing dependency (plain ``numpy.random``).
+The batch engine's correctness rests on ``h.array(keys)`` agreeing with
+``h(key)`` for *every* seed, function index, range size, and key —
+including the uint64 wrap of negative and arbitrary-precision keys.
+~200 random seeds per family; no external property-testing dependency
+(plain ``numpy.random``).
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ def test_function_array_matches_scalar(family_cls, seed):
     family = family_cls(seed=int(rng.integers(0, 1 << 31)))
     index = int(rng.integers(0, 8))
     range_size = int(rng.integers(1, 1 << 20))
-    scalar = family.function(index, range_size)
-    vector = family.function_array(index, range_size)
+    h = family.function(index, range_size)
     keys = _random_keys(rng)
-    got = vector(keys)
-    expected = [scalar(int(k)) for k in keys.tolist()]
+    got = h.array(keys)
+    expected = [h(int(k)) for k in keys.tolist()]
     assert got.tolist() == expected
 
 
@@ -51,12 +50,11 @@ def test_sign_array_matches_scalar(family_cls, seed):
     rng = np.random.default_rng(seed ^ 0xA5A5)
     family = family_cls(seed=int(rng.integers(0, 1 << 31)))
     index = int(rng.integers(0, 8))
-    scalar = family.sign_function(index)
-    vector = family.sign_array(index)
+    s = family.sign_function(index)
     keys = _random_keys(rng)
-    got = vector(keys)
+    got = s.array(keys)
     assert set(np.unique(got)) <= {-1, 1}
-    expected = [scalar(int(k)) for k in keys.tolist()]
+    expected = [s(int(k)) for k in keys.tolist()]
     assert got.tolist() == expected
 
 
@@ -71,12 +69,11 @@ def test_splitmix64_array_matches_scalar(seed):
 
 @pytest.mark.parametrize("family_cls", FAMILIES)
 def test_negative_and_bignum_keys_agree_via_uint64_wrap(family_cls):
-    """Scalar functions reduce any Python int mod 2^64; the vectorized twin
-    sees the wrapped uint64 column and must land in the same cell."""
+    """``h(key)`` reduces any Python int mod 2^64; ``h.array`` sees the
+    wrapped uint64 column and must land in the same cell."""
     family = family_cls(seed=7)
-    scalar = family.function(0, 4096)
-    vector = family.function_array(0, 4096)
+    h = family.function(0, 4096)
     mask = (1 << 64) - 1
     for key in (-1, -12345, 1 << 64, (1 << 80) + 17):
         wrapped = np.asarray([key & mask], dtype=np.uint64)
-        assert vector(wrapped)[0] == scalar(key)
+        assert h.array(wrapped)[0] == h(key)
