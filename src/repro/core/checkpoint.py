@@ -35,6 +35,12 @@ bytes, so :meth:`repro.core.Detector.state_digest` hashes the payload.
 artifact reaches disk: an atomic write, and a read that turns an empty,
 truncated, corrupt, foreign or wrong-schema file into
 :class:`CheckpointError`.
+
+A payload another version of the program wrote is refused, never
+migrated: :func:`decode` refuses a class the running code does not
+define, and :func:`check_layout` (run by ``Detector.load_state`` before
+it touches any state) a ``repro.`` object whose class or attribute names
+differ from the live detector's.
 """
 
 from __future__ import annotations
@@ -61,7 +67,27 @@ class CheckpointError(ValueError):
     """A malformed, mistyped, or wrong-version checkpoint artifact."""
 
 
+def _another_version(what: str) -> CheckpointError:
+    return CheckpointError(
+        f"{what}: another version of repro-hhh wrote this checkpoint; "
+        "discard it"
+    )
+
+
 _SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def _attributes(obj: object) -> dict[str, object]:
+    """An object's state: its set ``__slots__``, then its ``__dict__``."""
+    attrs = {name: getattr(obj, name) for cls in type(obj).__mro__
+             for name in cls.__dict__.get("__slots__", ())
+             if hasattr(obj, name)}
+    attrs.update(getattr(obj, "__dict__", {}))
+    return attrs
+
+
+def _is_repro(obj: object) -> bool:
+    return type(obj).__module__.startswith("repro.")
 
 
 def encode(obj: object) -> bytes:
@@ -111,7 +137,7 @@ def encode(obj: object) -> bytes:
                 "array": buffer(obj.dtype.str, list(obj.shape), obj.tobytes())
             }
             return ref
-        if not kind.__module__.startswith("repro."):
+        if not _is_repro(obj):
             raise TypeError(
                 f"cannot encode {kind.__module__}.{kind.__qualname__}"
             )
@@ -119,12 +145,8 @@ def encode(obj: object) -> bytes:
         key = (kind.__module__, kind.__qualname__)
         entry: list[object] = [classes.setdefault(key, len(classes))]
         objects.append(entry)
-        slots = [name for cls in kind.__mro__
-                 for name in cls.__dict__.get("__slots__", ())
-                 if hasattr(obj, name)]
-        attrs = {name: getattr(obj, name) for name in slots}
-        attrs.update(getattr(obj, "__dict__", {}))
-        entry.append({name: node(value) for name, value in attrs.items()})
+        entry.append({name: node(value)
+                      for name, value in _attributes(obj).items()})
         return ref
 
     root = node(obj)
@@ -142,11 +164,15 @@ def encode(obj: object) -> bytes:
 
 def _resolve(module: str, qualname: str) -> type:
     """A class defined in an already-imported ``repro.`` module."""
-    cls = sys.modules.get(module) if module.startswith("repro.") else None
+    if not module.startswith("repro."):
+        raise ValueError(f"{module}.{qualname} is not a repro class")
+    cls = sys.modules.get(module)
     for part in qualname.split("."):
         cls = getattr(cls, part, None)
     if not isinstance(cls, type) or cls.__module__ != module:
-        raise ValueError(f"{module}.{qualname} is not a repro class")
+        raise _another_version(
+            f"this version defines no class {module}.{qualname}"
+        )
     return cls
 
 
@@ -205,11 +231,46 @@ def decode(data: bytes) -> object:
             for name, value in attrs.items():
                 object.__setattr__(obj, name, node(value))
         return node(header["root"])
+    except CheckpointError:
+        raise
     except (ValueError, LookupError, TypeError, AttributeError,
             RecursionError) as exc:
         raise CheckpointError(
             f"malformed state payload ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def check_layout(live: dict[str, object], saved: dict[str, object],
+                 where: str) -> None:
+    """Refuse ``saved`` attributes that another version laid out.
+
+    ``live`` and ``saved`` are attribute dicts of the object ``where``
+    names; raises :class:`CheckpointError` unless they hold the same
+    names and, recursively through attributes and equal-length lists,
+    every ``repro.`` object ``live`` holds faces one of the same class
+    with the same attribute names.
+    """
+    if saved.keys() != live.keys():
+        raise _another_version(
+            f"{where} holds attributes {sorted(saved)}, where this version "
+            f"has {sorted(live)}"
+        )
+    for name, value in live.items():
+        _check_value(value, saved[name], f"{where}.{name}")
+
+
+def _check_value(live: object, saved: object, where: str) -> None:
+    if type(live) is list:
+        if type(saved) is list and len(saved) == len(live):
+            for i, (mine, theirs) in enumerate(zip(live, saved)):
+                _check_value(mine, theirs, f"{where}[{i}]")
+    elif _is_repro(live):
+        if type(saved) is not type(live):
+            raise _another_version(
+                f"{where} is a {type(saved).__qualname__}, where this "
+                f"version has a {type(live).__qualname__}"
+            )
+        check_layout(_attributes(live), _attributes(saved), where)
 
 
 def pack_state(kind: type, payload: object) -> dict[str, object]:

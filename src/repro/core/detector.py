@@ -179,19 +179,26 @@ class Detector(abc.ABC):
         """Restore a :meth:`save_state` artifact in place.
 
         Validates the artifact's schema, detector class and checksum, and
-        that the payload holds exactly this detector's attributes, before
-        touching any state: a mismatched or damaged artifact raises
+        that the payload holds this detector's attributes and the
+        ``repro.`` objects within them laid out as this version lays them
+        out (:func:`repro.core.checkpoint.check_layout`), before touching
+        any state: a mismatched, damaged or other-version artifact raises
         :class:`repro.core.checkpoint.CheckpointError` and leaves the
         detector as it was.
         """
-        from repro.core.checkpoint import CheckpointError, unpack_state
+        from repro.core.checkpoint import (
+            CheckpointError,
+            check_layout,
+            unpack_state,
+        )
 
         payload = unpack_state(type(self), state)
-        if not isinstance(payload, dict) or set(payload) != set(self.__dict__):
+        if not isinstance(payload, dict):
             raise CheckpointError(
                 f"checkpoint payload does not hold the attributes of "
                 f"{type(self).__qualname__!r}"
             )
+        check_layout(self.__dict__, payload, type(self).__qualname__)
         self.__dict__.clear()
         self.__dict__.update(payload)
 

@@ -1,14 +1,16 @@
-"""Flat open-addressing key table with amortized batch admission helpers.
+"""Dense key table with vectorized batch admission helpers.
 
 This is the shared fast-path primitive behind the pointer-based detector
 family (Space-Saving, Misra-Gries, the decayed variants, and friends).
-Each detector keeps its per-key state in named numpy columns owned by a
-:class:`FlatTable`; the table provides
+Each detector keeps its per-key state in named numpy columns of
+``capacity`` dense slots owned by a :class:`FlatTable`; the table provides
 
-- scalar ``insert``/``remove``/``slot_of`` maintenance with linear-probe
-  open addressing and tombstones,
+- scalar ``insert``/``remove``/``slot_of`` maintenance: ``insert`` takes
+  the most recently freed slot, or else the next slot never used, and
+  ``remove`` frees the key's slot onto that free stack, so neither hashes
+  nor probes;
 - a vectorized ``lookup_batch`` that resolves a whole key column to slot
-  indices in a handful of probe rounds, and
+  indices in a handful of probe rounds over a key-to-slot index, and
 - :func:`admit_batch`, which claims slots for a chunk's admission-free
   prefix: everything before the first packet that could trigger an
   eviction (tracked-key hits plus inserts into guaranteed-free slots)
@@ -16,48 +18,53 @@ Each detector keeps its per-key state in named numpy columns owned by a
   while the remainder is replayed through the detector's scalar
   ``update`` so eviction order stays exactly the scalar algorithm's.
 
-Capacity discipline: callers never hold more than ``capacity`` live keys,
-and the backing arrays are sized at the next power of two >= 2*capacity,
-so the load factor stays <= 0.5 plus tombstones.  A deterministic in-place
-rebuild clears tombstones before probe chains can degrade; one rule,
-:meth:`FlatTable.rebuild_due`, says when.
+The index serves the batch calls only: linear-probe open addressing over
+the next power of two >= 2*capacity cells, holding live keys alone, so
+its load factor stays <= 0.5.  Any scalar ``insert`` or ``remove`` drops
+it (``_index`` reads ``None``), and the next batch call rebuilds it from
+the live keys in one vectorized pass.
 
-Column arrays are rebuilt *in place* (same ndarray objects) so detectors
-may safely cache references to them; checkpoints encode the table through
-its ``__dict__`` and restore the shared arrays shared.
+A key keeps its slot until it is removed, and column arrays are never
+reallocated, so detectors may safely cache references to them;
+checkpoints encode the table through its ``__dict__`` and restore the
+shared arrays shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.mixers import splitmix64, splitmix64_array
+from repro.hashing.mixers import splitmix64_array
 
 
 _EMPTY = 0
 _LIVE = 1
-_TOMBSTONE = 2
+
+#: An index cell's slot while the cell is empty.
+_OPEN = -1
 
 
 class FlatTable:
-    """Open-addressing uint64-key table with named numpy value columns."""
+    """``capacity`` dense slots of uint64 keys with named numpy columns."""
 
     def __init__(self, capacity: int, columns: dict[str, type]) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        size = 8
-        while size < 2 * capacity:
-            size <<= 1
         self.capacity = capacity
-        self.size = size
-        self._mask = size - 1
-        self.key_col = np.zeros(size, dtype=np.uint64)
-        self.state = np.zeros(size, dtype=np.int8)
-        self.cols = {name: np.zeros(size, dtype=dt) for name, dt in columns.items()}
+        self.key_col = np.zeros(capacity, dtype=np.uint64)
+        self.state = np.zeros(capacity, dtype=np.int8)
+        self.cols = {
+            name: np.zeros(capacity, dtype=dt) for name, dt in columns.items()
+        }
         # Python-dict sidecar: key -> slot, for O(1) scalar gets and
         # deterministic iteration over live keys.
         self.slot_of: dict[int, int] = {}
-        self._tombstones = 0
+        # Slots ``remove`` freed, most recent last; once it is empty,
+        # ``insert`` hands out ``_unused``, the first slot never used.
+        self._free: list[int] = []
+        self._unused = 0
+        # The batch calls' (keys, slots) index, or None while stale.
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.slot_of)
@@ -74,147 +81,166 @@ class FlatTable:
         """Boolean mask over slots currently holding a live key."""
         return self.state == _LIVE
 
-    def rebuild_due(self, extra: int = 0) -> bool:
-        """Whether the table rebuilds before its next claims: live keys
-        plus tombstones plus ``extra`` fill more than 3/4 of the slots.
-
-        ``insert`` asks with ``extra=0`` before each claim and
-        ``upsert_batch`` with its ``max_new``; a caller holding column
-        copies asks first, since a rebuild moves column values.
-        """
-        return (len(self.slot_of) + self._tombstones + extra) * 4 > self.size * 3
-
     def insert(self, key: int) -> int:
         """Claim a slot for absent ``key`` and return it (columns zeroed)."""
-        if len(self.slot_of) >= self.capacity:
+        if self._free:
+            slot = self._free.pop()
+        elif self._unused < self.capacity:
+            slot = self._unused
+            self._unused = slot + 1
+        else:
             raise RuntimeError("flat table is at capacity; evict first")
-        if self.rebuild_due():
-            self._rebuild()
-        mask = self._mask
-        state = self.state
-        h = splitmix64(key) & mask
-        while state[h] == _LIVE:
-            h = (h + 1) & mask
-        if state[h] == _TOMBSTONE:
-            self._tombstones -= 1
-        slot = int(h)
-        state[slot] = _LIVE
+        self.state[slot] = _LIVE
         self.key_col[slot] = key
         for col in self.cols.values():
             col[slot] = 0
         self.slot_of[key] = slot
+        self._index = None
         return slot
 
     def remove(self, key: int) -> None:
-        """Tombstone ``key``'s slot (key must be tracked)."""
+        """Free ``key``'s slot (key must be tracked)."""
         slot = self.slot_of.pop(key)
-        self.state[slot] = _TOMBSTONE
-        self._tombstones += 1
+        self.state[slot] = _EMPTY
+        self._free.append(slot)
+        self._index = None
 
-    def _rebuild(self) -> None:
-        """Re-place every live key, dropping tombstones (in place)."""
-        mask = self._mask
-        old = list(self.slot_of.items())
-        snapshot = {name: col.copy() for name, col in self.cols.items()}
-        self.state[:] = _EMPTY
-        self.key_col[:] = 0
-        self.slot_of.clear()
-        self._tombstones = 0
-        for key, old_slot in old:
-            h = splitmix64(key) & mask
-            while self.state[h] == _LIVE:
-                h = (h + 1) & mask
-            slot = int(h)
-            self.state[slot] = _LIVE
-            self.key_col[slot] = key
-            for name, col in self.cols.items():
-                col[slot] = snapshot[name][old_slot]
-            self.slot_of[key] = slot
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` slots, in the order ``insert`` would hand
+        them out."""
+        free = self._free
+        reused = min(count, len(free))
+        start = self._unused
+        self._unused = start + count - reused
+        fresh = np.arange(start, self._unused)
+        if not reused:
+            return fresh
+        taken = free[len(free) - reused:]
+        del free[len(free) - reused:]
+        return np.concatenate([np.array(taken[::-1], dtype=np.int64), fresh])
+
+    def _live_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (keys, slots) index over the live keys, rebuilt if stale."""
+        if self._index is None:
+            self._index = self._build_index()
+        return self._index
+
+    def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Place every live key in a fresh index, vectorized: each round
+        writes the still-unplaced keys into the open cells they probe
+        (last writer per cell wins), and the rest move one cell on."""
+        cells = max(8, 1 << (2 * self.capacity - 1).bit_length())
+        mask = cells - 1
+        ikeys = np.zeros(cells, dtype=np.uint64)
+        islots = np.full(cells, _OPEN, dtype=np.int64)
+        if not self.slot_of:
+            return ikeys, islots
+        slots = np.flatnonzero(self.state == _LIVE)
+        keys = self.key_col[slots]
+        h = (splitmix64_array(keys) & np.uint64(mask)).astype(np.int64)
+        while slots.size:
+            open_ = np.flatnonzero(islots[h] == _OPEN)
+            ikeys[h[open_]] = keys[open_]
+            placed = open_[ikeys[h[open_]] == keys[open_]]
+            islots[h[placed]] = slots[placed]
+            keep = np.ones(slots.size, dtype=bool)
+            keep[placed] = False
+            slots, keys = slots[keep], keys[keep]
+            h = (h[keep] + 1) & mask
+        return ikeys, islots
 
     def upsert_batch(self, keys: np.ndarray, max_new: int) -> np.ndarray | None:
-        """Resolve every key to a slot, claiming empty slots for new keys.
+        """Resolve every key to a slot, claiming free slots for new keys.
 
         Returns the per-packet slot indices (claimed slots have their
         columns zeroed) when the chunk's distinct new keys fit within
-        ``max_new`` free slots.  Otherwise the table is rolled back
-        untouched and ``None`` is returned.
+        ``max_new`` free slots.  Otherwise the table is left untouched and
+        ``None`` is returned.
 
-        Claim rounds piggyback on the probe rounds: a lane that reaches an
-        EMPTY slot is definitively absent and tries to claim it in place
-        (last writer per slot wins; losers keep probing).  Tombstones are
-        probed past but never claimed, so live probe chains stay intact.
+        Claim rounds piggyback on the probe rounds over the index: a lane
+        that reaches an open cell is definitively absent and tries to
+        claim it in place (last writer per cell wins; losers keep
+        probing).  The claimed keys then take slots in index-cell order,
+        each the slot ``insert`` would hand out next.
         """
         n = keys.shape[0]
-        if max_new > 0 and self.rebuild_due(max_new):
-            self._rebuild()
-        key_col, state = self.key_col, self.state
-        snapshot_keys = key_col.copy()
-        snapshot_state = state.copy()
-        mask = self._mask
+        ikeys, islots = self._live_index()
+        mask = ikeys.shape[0] - 1
         # Lanes are compacted each round: (cur_h, cur_keys, cur_idx) hold
         # only the still-unresolved packets, so late rounds touch only the
         # longest probe chains.
         cur_h = (splitmix64_array(keys) & np.uint64(mask)).astype(np.int64)
         cur_keys = keys
         cur_idx = np.arange(n)
-        slots = np.full(n, -1, dtype=np.int64)
-        claimed_mask = np.zeros(self.size, dtype=bool)
+        cells = np.empty(n, dtype=np.int64)  # every lane resolves
+        # Cells claimed by this call; their slots are assigned at the end.
+        claimed_mask = np.zeros(mask + 1, dtype=bool)
         # On a fresh table no lane can ever hit a live key: same-key lanes
         # probe in lockstep, so they resolve together in the claim round
-        # and the whole LIVE-match test can be skipped.  The first round on
-        # a fresh table additionally skips the state gather (all EMPTY).
-        check_live = bool(self.slot_of) or self._tombstones > 0
+        # and the whole live-match test can be skipped.  The first round on
+        # a fresh table additionally skips the cell gather (all open).
+        check_live = bool(self.slot_of)
+        # cur_idx is the identity until the first compaction, so the
+        # first round scatters into cells through its lane masks directly.
         first_round = True
         while cur_idx.size:
             if not check_live and first_round:
                 empty = np.ones(cur_idx.size, dtype=bool)
                 resolved = np.zeros(cur_idx.size, dtype=bool)
             else:
-                st = state[cur_h]
+                st = islots[cur_h]
                 if check_live:
-                    resolved = (st == _LIVE) & (key_col[cur_h] == cur_keys)
+                    resolved = (st >= 0) & (ikeys[cur_h] == cur_keys)
                     if resolved.any():
-                        slots[cur_idx[resolved]] = cur_h[resolved]
+                        lanes = resolved if first_round else cur_idx[resolved]
+                        cells[lanes] = cur_h[resolved]
                 else:
                     resolved = np.zeros(cur_idx.size, dtype=bool)
-                empty = st == _EMPTY
-            first_round = False
+                empty = st == _OPEN
+                if not first_round:
+                    # A cell this call claimed still reads open in islots.
+                    empty &= ~claimed_mask[cur_h]
             if empty.any():
                 all_empty = empty.all()
                 if all_empty:
-                    cslot = cur_h
+                    ccell = cur_h
                     ckey = cur_keys
                 else:
-                    cslot = cur_h[empty]
+                    ccell = cur_h[empty]
                     ckey = cur_keys[empty]
-                key_col[cslot] = ckey  # last writer per slot wins
-                winners = key_col[cslot] == ckey
-                wslot = cslot[winners]
-                state[wslot] = _LIVE
-                claimed_mask[wslot] = True
+                ikeys[ccell] = ckey  # last writer per cell wins
+                winners = ikeys[ccell] == ckey
+                wcell = ccell[winners]
+                claimed_mask[wcell] = True
                 if np.count_nonzero(claimed_mask) > max_new:
-                    key_col[:] = snapshot_keys
-                    state[:] = snapshot_state
+                    # Every written cell was claimed: clear them all.
+                    ikeys[claimed_mask] = 0
                     return None
                 if all_empty:
-                    slots[cur_idx[winners]] = wslot
+                    lanes = winners if first_round else cur_idx[winners]
+                    cells[lanes] = wcell
                     resolved |= winners
                 else:
                     widx = np.flatnonzero(empty)[winners]
-                    slots[cur_idx[widx]] = wslot
+                    lanes = widx if first_round else cur_idx[widx]
+                    cells[lanes] = wcell
                     resolved[widx] = True
             keep = ~resolved
             cur_h = (cur_h[keep] + 1) & mask
             cur_keys = cur_keys[keep]
             cur_idx = cur_idx[keep]
+            first_round = False
         claimed = np.flatnonzero(claimed_mask)
         if claimed.size:
+            slots = self._take(claimed.size)
+            islots[claimed] = slots
+            new_keys = ikeys[claimed]
+            self.state[slots] = _LIVE
+            self.key_col[slots] = new_keys
             for col in self.cols.values():
-                col[claimed] = 0
-            self.slot_of.update(
-                zip(key_col[claimed].tolist(), claimed.tolist())
-            )
-        return slots
+                col[slots] = 0
+            self.slot_of.update(zip(new_keys.tolist(), slots.tolist()))
+        return islots[cells]
 
     def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
         """Resolve a uint64 key column to slot indices (-1 for untracked).
@@ -224,29 +250,30 @@ class FlatTable:
         probe chain (a few rounds at <= 0.5 load), not per packet.
         """
         n = keys.shape[0]
-        mask = np.uint64(self._mask)
-        h = (splitmix64_array(keys) & mask).astype(np.int64)
+        ikeys, islots = self._live_index()
+        mask = ikeys.shape[0] - 1
+        h = (splitmix64_array(keys) & np.uint64(mask)).astype(np.int64)
         slots = np.full(n, -1, dtype=np.int64)
         pending = np.arange(n)
-        state = self.state
-        key_col = self.key_col
         while pending.size:
             hp = h[pending]
-            st = state[hp]
-            found = (st == _LIVE) & (key_col[hp] == keys[pending])
-            slots[pending[found]] = hp[found]
-            pending = pending[~(found | (st == _EMPTY))]
-            h[pending] = (h[pending] + 1) & self._mask
+            st = islots[hp]
+            found = (st >= 0) & (ikeys[hp] == keys[pending])
+            slots[pending[found]] = st[found]
+            pending = pending[~(found | (st == _OPEN))]
+            h[pending] = (h[pending] + 1) & mask
         return slots
 
     def clear(self) -> None:
-        """Drop every key (columns re-zeroed)."""
+        """Drop every key (columns re-zeroed, every slot unused again)."""
         self.state[:] = _EMPTY
         self.key_col[:] = 0
         for col in self.cols.values():
             col[:] = 0
         self.slot_of.clear()
-        self._tombstones = 0
+        self._free.clear()
+        self._unused = 0
+        self._index = None
 
 
 def plan_batch(table: FlatTable, keys: np.ndarray) -> int:
@@ -278,12 +305,12 @@ def admit_batch(table: FlatTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns ``(slots, split)``: packets ``[0, split)`` resolve to
     ``slots``, tracked keys to their own slots and the prefix's new keys to
-    freshly claimed ones (columns zeroed, claimed in slot order), so the
-    caller lands the prefix with one scatter and replays packets from
-    ``split`` on through scalar ``update``.  The whole chunk is the prefix
-    when its distinct new keys fit the free slots; otherwise
-    :func:`plan_batch` places the split, before which they fit by
-    construction.
+    freshly claimed ones (columns zeroed; the slots ``insert`` would hand
+    out next), so the caller lands the prefix with one scatter and replays
+    packets from ``split`` on through scalar ``update``.  The whole chunk
+    is the prefix when its distinct new keys fit the free slots;
+    otherwise :func:`plan_batch` places the split, before which they fit
+    by construction.
     """
     free = table.capacity - len(table)
     slots = table.upsert_batch(keys, free)

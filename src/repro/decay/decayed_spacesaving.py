@@ -23,9 +23,10 @@ but evicts in heap order: under exponential decay the order of decayed
 values never changes with time, so a min-heap on ``log(value) +
 stamp/tau`` names each victim without scanning the counters, and the
 victim's inherited value is still computed the way the scan computes it.
-The full scan (``_min_slot``) stays as the scalar reference that scalar
-``update`` runs; where underflow breaks the heap's order, the tail hands
-the rest of its chunk to ``update``.
+The newcomer takes the victim's slot straight off the table's free stack,
+so an eviction hashes nothing.  The full scan (``_min_slot``) stays as the
+scalar reference that scalar ``update`` runs; where underflow breaks the
+heap's order, the tail hands the rest of its chunk to ``update``.
 """
 
 from __future__ import annotations
@@ -151,13 +152,13 @@ class DecayedSpaceSaving(Detector):
         slots, split = admit_batch(table, ku)
         if split:
             prefix_ts = ts[:split]
-            last_ts = np.zeros(table.size, dtype=np.float64)
+            last_ts = np.zeros(table.capacity, dtype=np.float64)
             last_ts[slots] = prefix_ts
             contrib = np.bincount(
                 slots, weights=w[:split] * factor(last_ts[slots] - prefix_ts),
-                minlength=table.size,
+                minlength=table.capacity,
             )
-            touched = np.zeros(table.size, dtype=bool)
+            touched = np.zeros(table.capacity, dtype=bool)
             touched[slots] = True
             us = np.flatnonzero(touched)
             ages = np.maximum(last_ts[us] - stamps[us], 0.0)
@@ -178,10 +179,11 @@ class DecayedSpaceSaving(Detector):
         Hits leave entries stale, since a hit lowers a priority by no more
         than rounding unless its decay factor underflows, and
         :func:`_heap_victim` refreshes them as they surface.  The loop
-        works on Python-float copies of the columns and writes them back
-        before a table rebuild, which moves column values.  An eviction
-        only the scan can decide hands the rest of the chunk to
-        :meth:`update`.
+        works on Python-float copies of the columns, which stay aligned
+        with the table: ``remove`` frees the victim's slot and ``insert``
+        hands that same slot to the newcomer, and no slot ever moves.
+        The copies are written back at the end, or when an eviction only
+        the scan can decide hands the rest of the chunk to :meth:`update`.
         """
         table = self._table
         values = table.cols["values"]
@@ -231,14 +233,7 @@ class DecayedSpaceSaving(Detector):
                 return
             victim, value = victim
             table.remove(victim)
-            if table.rebuild_due():
-                values[:] = vals
-                stamps[:] = sts
-                slot = table.insert(key)
-                vals = values.tolist()
-                sts = stamps.tolist()
-            else:
-                slot = table.insert(key)
+            slot = table.insert(key)
             vals[slot] = value = value + weight
             sts[slot] = now
             heappush(heap, (_priority(value, now, tau), key))

@@ -80,7 +80,7 @@ class CounterTable(Detector):
         slots, split = admit_batch(table, ku)
         if split:
             table.cols["counts"] += np.bincount(
-                slots, weights=w[:split], minlength=table.size
+                slots, weights=w[:split], minlength=table.capacity
             )
             self.total += w[:split].sum().item()
         update = self.update

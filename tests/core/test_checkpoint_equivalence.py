@@ -33,7 +33,7 @@ from repro.core import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.core.checkpoint import MAGIC, encode
+from repro.core.checkpoint import MAGIC, decode, encode
 from repro.engine import ShardedDetector
 
 N_PACKETS = 600
@@ -271,9 +271,49 @@ def test_payload_naming_an_undefined_class_is_refused(stream):
     payload = b"".join(
         [MAGIC, hashlib.sha256(body).hexdigest().encode(), b"\n", body]
     )
-    with pytest.raises(CheckpointError, match="_AffineSlotArray"):
+    with pytest.raises(CheckpointError, match="another version") as refused:
         detector.load_state(dict(state, payload=payload))
+    assert "_AffineSlotArray" in str(refused.value)
     _assert_same_outputs(spec, reference, detector, keys, ts, "old class")
+
+
+def _resealed(state, edit):
+    """``state`` with its payload decoded, edited in place and encoded
+    again: the checksum holds."""
+    payload = decode(state["payload"])
+    edit(payload)
+    return dict(state, payload=encode(payload))
+
+
+@pytest.mark.parametrize("edit", ["added", "removed"])
+@pytest.mark.parametrize("name", ["spacesaving", "decayed-spacesaving", "rhhh"])
+def test_payload_with_another_table_layout_is_refused(name, edit, stream):
+    """A payload whose checksum holds but whose nested flat table has
+    one attribute more or one fewer than this version's, as every
+    table-backed detector's checkpoint from before the dense-slot table
+    has, is refused, not migrated, and the detector is left as it was."""
+    keys, weights, ts = stream
+    spec = get_spec(name)
+    detector, reference, donor = spec.factory(), spec.factory(), spec.factory()
+    for target in (detector, reference):
+        _feed(target, spec, keys[:SPLIT], weights[:SPLIT], ts[:SPLIT])
+    _feed(donor, spec, keys, weights, ts)
+    state = donor.save_state()
+
+    def change(payload):
+        holder = payload
+        if "_levels" in payload:
+            holder = vars(payload["_levels"][-1])
+        table = holder["_table"]
+        if edit == "added":
+            table._tombstones = 0
+        else:
+            del table._free
+
+    spec.factory().load_state(_resealed(state, lambda payload: None))
+    with pytest.raises(CheckpointError, match="another version"):
+        detector.load_state(_resealed(state, change))
+    _assert_same_outputs(spec, reference, detector, keys, ts, edit)
 
 
 def test_pickled_v1_file_is_refused_naming_v2(tmp_path):
@@ -324,7 +364,7 @@ def test_sharded_detector_round_trip(name, stream):
 
 def test_flat_table_state_round_trips_bit_identically(stream):
     """Flat-table columns (keys, counts, occupancy) survive a checkpoint
-    byte-for-byte, tombstones and all."""
+    byte-for-byte, free stack and batch index and all."""
     keys, weights, ts = stream
     spec = get_spec("spacesaving")
     original = spec.factory()
@@ -333,8 +373,11 @@ def test_flat_table_state_round_trips_bit_identically(stream):
     restored = spec.factory()
     restored.load_state(original.save_state())
     a, b = original._table, restored._table
-    assert a.capacity == b.capacity and a.size == b.size
-    assert a._tombstones == b._tombstones
+    assert a.capacity == b.capacity
+    assert a._free == b._free and a._unused == b._unused
+    assert a._index is not None and b._index is not None
+    for mine, theirs in zip(a._index, b._index):
+        assert mine.tobytes() == theirs.tobytes()
     assert a.slot_of == b.slot_of
     np.testing.assert_array_equal(a.key_col, b.key_col)
     np.testing.assert_array_equal(a.state, b.state)

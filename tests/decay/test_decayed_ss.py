@@ -1,14 +1,17 @@
 """Tests for repro.decay.decayed_spacesaving."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core import flat_table
 from repro.core.flat_table import plan_batch
 from repro.decay.decayed_counter import ExactDecayedCounts
 from repro.decay.decayed_spacesaving import DecayedSpaceSaving
 from repro.decay.laws import ExponentialDecay, LinearDecay
+from repro.hashing import mixers
 from repro.trace.presets import caida_like_day
 
 
@@ -270,3 +273,44 @@ def test_eviction_tail_scans_only_on_underflow(monkeypatch):
                          trace.ts[start:stop])
     assert len(evictions) > 1000
     assert scans == []
+
+
+def test_eviction_tail_hashes_no_key(monkeypatch):
+    """The batch tail evicts through the table's free stack: no key is
+    hashed per eviction, and each ``update_batch`` call hashes a handful
+    of key columns and builds the batch index at most once.  Counts work,
+    not time."""
+    trace = caida_like_day(0, duration=30.0)
+    det = DecayedSpaceSaving(256, ExponentialDecay(tau=10.0))
+    table = det._table
+    scalar_hashes, column_hashes, builds, evictions = [], [], [], []
+    # Every module-level reference to the scalar mixer counts its calls.
+    mix, mix_array = mixers.splitmix64, mixers.splitmix64_array
+    for module in list(sys.modules.values()):
+        if getattr(module, "splitmix64", None) is mix:
+            monkeypatch.setattr(
+                module, "splitmix64",
+                lambda key: scalar_hashes.append(key) or mix(key),
+            )
+    monkeypatch.setattr(
+        flat_table, "splitmix64_array",
+        lambda keys: column_hashes.append(keys.size) or mix_array(keys),
+    )
+    build = table._build_index
+    monkeypatch.setattr(table, "_build_index",
+                        lambda: builds.append(1) or build())
+    remove = table.remove
+    monkeypatch.setattr(table, "remove",
+                        lambda key: evictions.append(key) or remove(key))
+    per_call = []
+    for start in range(0, len(trace), 8192):
+        stop = start + 8192
+        before = len(builds), len(column_hashes)
+        det.update_batch(trace.src[start:stop], trace.length[start:stop],
+                         trace.ts[start:stop])
+        per_call.append((len(builds) - before[0],
+                         len(column_hashes) - before[1]))
+    assert len(evictions) > 1000
+    assert scalar_hashes == []
+    assert max(b for b, _ in per_call) <= 1
+    assert max(h for _, h in per_call) <= 4
