@@ -38,9 +38,13 @@ truncated, corrupt, foreign or wrong-schema file into
 
 A payload another version of the program wrote is refused, never
 migrated: :func:`decode` refuses a class the running code does not
-define, and :func:`check_layout` (run by ``Detector.load_state`` before
-it touches any state) a ``repro.`` object whose class or attribute names
-differ from the live detector's.
+define, and an object whose attribute names differ from the ones its
+class declares, in ``__slots__`` or in a ``_STATE_ATTRS`` tuple of the
+names its ``__init__`` sets (each along the class's MRO).  So every class
+whose instances a state holds declares them, and a saved object is
+checked whether or not a live detector holds one like it.
+``Detector.load_state`` runs :func:`check_layout` on the detector's own
+attribute names as well, before it touches any state.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import json
 import os
 import sys
 from collections import deque
+from collections.abc import Set as AbstractSet
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +93,16 @@ def _attributes(obj: object) -> dict[str, object]:
 
 def _is_repro(obj: object) -> bool:
     return type(obj).__module__.startswith("repro.")
+
+
+def _declared(cls: type) -> frozenset[str]:
+    """The attribute names ``cls`` declares for its instances: every
+    ``__slots__`` and ``_STATE_ATTRS`` entry along its MRO."""
+    return frozenset(
+        name for klass in cls.__mro__
+        for declaration in ("__slots__", "_STATE_ATTRS")
+        for name in klass.__dict__.get(declaration, ())
+    )
 
 
 def encode(obj: object) -> bytes:
@@ -199,6 +214,9 @@ def decode(data: bytes) -> object:
             ).reshape(shape).copy())
             offset += arrays[-1].nbytes
         classes = [_resolve(*pair) for pair in header["classes"]]
+        names = [_declared(cls) for cls in classes]
+        for c, attrs in header["objects"]:
+            check_layout(names[c], attrs, ".".join(header["classes"][c]))
         objects = [classes[c].__new__(classes[c])
                    for c, _ in header["objects"]]
         tags = {
@@ -240,37 +258,16 @@ def decode(data: bytes) -> object:
         ) from exc
 
 
-def check_layout(live: dict[str, object], saved: dict[str, object],
+def check_layout(names: AbstractSet[str], saved: dict[str, object],
                  where: str) -> None:
-    """Refuse ``saved`` attributes that another version laid out.
-
-    ``live`` and ``saved`` are attribute dicts of the object ``where``
-    names; raises :class:`CheckpointError` unless they hold the same
-    names and, recursively through attributes and equal-length lists,
-    every ``repro.`` object ``live`` holds faces one of the same class
-    with the same attribute names.
-    """
-    if saved.keys() != live.keys():
+    """Refuse ``saved`` attributes unless their names are ``names``, the
+    ones this version gives the object ``where`` names, by raising
+    :class:`CheckpointError`."""
+    if saved.keys() != names:
         raise _another_version(
             f"{where} holds attributes {sorted(saved)}, where this version "
-            f"has {sorted(live)}"
+            f"has {sorted(names)}"
         )
-    for name, value in live.items():
-        _check_value(value, saved[name], f"{where}.{name}")
-
-
-def _check_value(live: object, saved: object, where: str) -> None:
-    if type(live) is list:
-        if type(saved) is list and len(saved) == len(live):
-            for i, (mine, theirs) in enumerate(zip(live, saved)):
-                _check_value(mine, theirs, f"{where}[{i}]")
-    elif _is_repro(live):
-        if type(saved) is not type(live):
-            raise _another_version(
-                f"{where} is a {type(saved).__qualname__}, where this "
-                f"version has a {type(live).__qualname__}"
-            )
-        check_layout(_attributes(live), _attributes(saved), where)
 
 
 def pack_state(kind: type, payload: object) -> dict[str, object]:

@@ -179,10 +179,11 @@ class Detector(abc.ABC):
         """Restore a :meth:`save_state` artifact in place.
 
         Validates the artifact's schema, detector class and checksum, and
-        that the payload holds this detector's attributes and the
-        ``repro.`` objects within them laid out as this version lays them
-        out (:func:`repro.core.checkpoint.check_layout`), before touching
-        any state: a mismatched, damaged or other-version artifact raises
+        that the payload holds this detector's attribute names
+        (:func:`repro.core.checkpoint.check_layout`) and every ``repro.``
+        object within them the attribute names its class declares
+        (:func:`repro.core.checkpoint.decode`), before touching any
+        state: a mismatched, damaged or other-version artifact raises
         :class:`repro.core.checkpoint.CheckpointError` and leaves the
         detector as it was.
         """
@@ -198,7 +199,7 @@ class Detector(abc.ABC):
                 f"checkpoint payload does not hold the attributes of "
                 f"{type(self).__qualname__!r}"
             )
-        check_layout(self.__dict__, payload, type(self).__qualname__)
+        check_layout(self.__dict__.keys(), payload, type(self).__qualname__)
         self.__dict__.clear()
         self.__dict__.update(payload)
 

@@ -5,10 +5,11 @@ family (Space-Saving, Misra-Gries, the decayed variants, and friends).
 Each detector keeps its per-key state in named numpy columns of
 ``capacity`` dense slots owned by a :class:`FlatTable`; the table provides
 
-- scalar ``insert``/``remove``/``slot_of`` maintenance: ``insert`` takes
-  the most recently freed slot, or else the next slot never used, and
-  ``remove`` frees the key's slot onto that free stack, so neither hashes
-  nor probes;
+- scalar ``insert``/``remove``/``replace``/``slot_of`` maintenance:
+  ``insert`` takes the most recently freed slot, or else the next slot
+  never used, ``remove`` frees the key's slot onto that free stack, and
+  ``replace`` (an eviction's one table call) hands an old key's slot
+  straight to a new key, so none of them hashes or probes;
 - a vectorized ``lookup_batch`` that resolves a whole key column to slot
   indices in a handful of probe rounds over a key-to-slot index, and
 - :func:`admit_batch`, which claims slots for a chunk's admission-free
@@ -17,12 +18,14 @@ Each detector keeps its per-key state in named numpy columns of
   resolves to a slot and can be applied with scatter-adds in any order,
   while the remainder is replayed through the detector's scalar
   ``update`` so eviction order stays exactly the scalar algorithm's.
+  On a full table that prefix is the hits before the first miss, which
+  one ``lookup_batch`` finds.
 
 The index serves the batch calls only: linear-probe open addressing over
 the next power of two >= 2*capacity cells, holding live keys alone, so
-its load factor stays <= 0.5.  Any scalar ``insert`` or ``remove`` drops
-it (``_index`` reads ``None``), and the next batch call rebuilds it from
-the live keys in one vectorized pass.
+its load factor stays <= 0.5.  Any scalar ``insert``, ``remove`` or
+``replace`` drops it (``_index`` reads ``None``), and the next batch call
+rebuilds it from the live keys in one vectorized pass.
 
 A key keeps its slot until it is removed, and column arrays are never
 reallocated, so detectors may safely cache references to them;
@@ -46,6 +49,9 @@ _OPEN = -1
 
 class FlatTable:
     """``capacity`` dense slots of uint64 keys with named numpy columns."""
+
+    _STATE_ATTRS = ("capacity", "key_col", "state", "cols", "slot_of",
+                    "_free", "_unused", "_index")
 
     def __init__(self, capacity: int, columns: dict[str, type]) -> None:
         if capacity < 1:
@@ -104,6 +110,20 @@ class FlatTable:
         self.state[slot] = _EMPTY
         self._free.append(slot)
         self._index = None
+
+    def replace(self, old: int, new: int) -> int:
+        """Hand tracked ``old``'s slot to absent ``new`` and return it.
+
+        The table ends as ``remove(old)`` then ``insert(new)`` leave it
+        (``new`` last in ``slot_of``, the free stack as it was), except
+        that the slot's columns keep ``old``'s values: the caller writes
+        every one of them.
+        """
+        slot = self.slot_of.pop(old)
+        self.key_col[slot] = new
+        self.slot_of[new] = slot
+        self._index = None
+        return slot
 
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` slots, in the order ``insert`` would hand
@@ -310,9 +330,15 @@ def admit_batch(table: FlatTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
     packets from ``split`` on through scalar ``update``.  The whole chunk
     is the prefix when its distinct new keys fit the free slots;
     otherwise :func:`plan_batch` places the split, before which they fit
-    by construction.
+    by construction.  A full table claims nothing: one lookup resolves
+    the chunk, and the prefix is the hits before its first miss.
     """
     free = table.capacity - len(table)
+    if not free:
+        slots = table.lookup_batch(keys)
+        misses = np.flatnonzero(slots < 0)
+        split = int(misses[0]) if misses.size else keys.shape[0]
+        return slots[:split], split
     slots = table.upsert_batch(keys, free)
     if slots is not None:
         return slots, keys.shape[0]

@@ -23,10 +23,12 @@ but evicts in heap order: under exponential decay the order of decayed
 values never changes with time, so a min-heap on ``log(value) +
 stamp/tau`` names each victim without scanning the counters, and the
 victim's inherited value is still computed the way the scan computes it.
-The newcomer takes the victim's slot straight off the table's free stack,
-so an eviction hashes nothing.  The full scan (``_min_slot``) stays as the
-scalar reference that scalar ``update`` runs; where underflow breaks the
-heap's order, the tail hands the rest of its chunk to ``update``.
+An eviction is one table call, ``FlatTable.replace``: the newcomer takes
+the victim's slot and nothing is hashed.  A victim alone in its rounding
+window, nearly every one, is decided without a candidate set.  The full
+scan (``_min_slot``) stays as the scalar reference that scalar ``update``
+runs; where underflow breaks the heap's order, the tail hands the rest of
+its chunk to ``update``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ _TINY = sys.float_info.min
 class DecayedSpaceSaving(Detector):
     """Fixed-capacity enumerable summary of decayed byte volumes."""
 
+    _STATE_ATTRS = ("capacity", "law", "_table")
+
     def __init__(self, capacity: int, law: DecayLaw) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -108,8 +112,7 @@ class DecayedSpaceSaving(Detector):
             stamps[slot] = ts
             return
         victim_slot, victim_value = self._min_slot(ts)
-        table.remove(int(table.key_col[victim_slot]))
-        slot = table.insert(key)
+        slot = table.replace(int(table.key_col[victim_slot]), key)
         values[slot] = victim_value + weight
         stamps[slot] = ts
 
@@ -180,8 +183,8 @@ class DecayedSpaceSaving(Detector):
         than rounding unless its decay factor underflows, and
         :func:`_heap_victim` refreshes them as they surface.  The loop
         works on Python-float copies of the columns, which stay aligned
-        with the table: ``remove`` frees the victim's slot and ``insert``
-        hands that same slot to the newcomer, and no slot ever moves.
+        with the table: ``replace`` hands the victim's slot to the
+        newcomer, and no slot ever moves.
         The copies are written back at the end, or when an eviction only
         the scan can decide hands the rest of the chunk to :meth:`update`.
         """
@@ -232,8 +235,7 @@ class DecayedSpaceSaving(Detector):
                     update(key, weight, now)
                 return
             victim, value = victim
-            table.remove(victim)
-            slot = table.insert(key)
+            slot = table.replace(victim, key)
             vals[slot] = value = value + weight
             sts[slot] = now
             heappush(heap, (_priority(value, now, tau), key))
@@ -333,18 +335,50 @@ def _heap_victim(heap: list, slot_of: dict, vals: list, sts: list,
     Returns the ``(key, decayed value)`` that ``_min_slot(now)`` picks,
     or ``None`` when only that scan can decide.  Every live key has an
     entry no higher than its current priority, up to rounding; entries of
-    evicted keys and duplicates are dropped as they surface, stale ones
-    re-pushed.  The candidates are the fresh entries within a rounding
-    window of the minimum.  Each gets its decayed value by the scan's
-    arithmetic (numpy ``exp``: ``math.exp`` can differ in the last bit),
-    and ties break by key; the rest go back on the heap.  The scan
+    evicted keys are dropped as they surface, stale ones re-pushed.  The
+    first fresh entry is the minimum up to rounding: when no other entry
+    lies within its rounding window, it is the victim outright, and
+    otherwise :func:`_window_victim` decides among the window's fresh
+    entries.  The victim's value is computed by the scan's arithmetic
+    (numpy ``exp``: ``math.exp`` can differ in the last bit).  The scan
     decides when the minimum's priority is not finite or its decayed
     value is zero or subnormal, where underflow ties or reorders counters
     whose priorities differ; the heap is then incomplete, and the caller
     drops it.
     """
-    candidates: dict[int, tuple[float, int]] = {}
-    bound = inf
+    while True:
+        priority, key = heap[0]
+        slot = slot_of.get(key, -1)
+        if slot < 0:
+            heappop(heap)
+            continue
+        current = _priority(vals[slot], sts[slot], tau)
+        if current == priority:
+            break
+        heapreplace(heap, (current, key))
+    heappop(heap)
+    if not -inf < priority < inf:
+        return None
+    bound = priority + _WINDOW * (abs(priority) + _LOG_SPAN)
+    if heap and heap[0][0] <= bound:
+        return _window_victim(heap, slot_of, vals, sts, tau, now, bound,
+                              {key: (priority, slot)})
+    value = _scan_decay(vals[slot], now - sts[slot], tau)
+    return None if value < _TINY else (key, value)
+
+
+def _window_victim(heap: list, slot_of: dict, vals: list, sts: list,
+                   tau: float, now: float, bound: float,
+                   candidates: dict[int, tuple[float, int]]
+                   ) -> tuple[int, float] | None:
+    """:func:`_heap_victim`'s victim when more than the minimum's entry
+    lies within ``bound``, its rounding window.
+
+    ``candidates`` maps the minimum's key to its ``(priority, slot)``.
+    Every fresh entry up to ``bound`` joins it (dead entries and
+    duplicates are dropped, stale ones re-pushed); the smallest
+    ``(decayed value, key)`` wins, and the others go back on the heap.
+    """
     while heap and heap[0][0] <= bound:
         priority, key = heap[0]
         slot = slot_of.get(key, -1)
@@ -356,26 +390,24 @@ def _heap_victim(heap: list, slot_of: dict, vals: list, sts: list,
             heapreplace(heap, (current, key))
             continue
         heappop(heap)
-        if not candidates:
-            if not -inf < priority < inf:
-                return None
-            bound = priority + _WINDOW * (abs(priority) + _LOG_SPAN)
         candidates[key] = (priority, slot)
-    best = None
-    for key, (_, slot) in candidates.items():
-        value = vals[slot]
-        age = now - sts[slot]
-        if age > 0:
-            value = value * float(np.exp(-age / tau))
-        if best is None or (value, key) < best:
-            best = (value, key)
-    value, victim = best
+    value, victim = min(
+        (_scan_decay(vals[slot], now - sts[slot], tau), key)
+        for key, (_, slot) in candidates.items()
+    )
     if value < _TINY:
         return None
     for key, (priority, _) in candidates.items():
         if key != victim:
             heappush(heap, (priority, key))
     return victim, value
+
+
+def _scan_decay(value: float, age: float, tau: float) -> float:
+    """``value`` decayed over ``age`` as ``_min_slot``'s scan computes it."""
+    if age > 0:
+        value = value * float(np.exp(-age / tau))
+    return value
 
 
 def _decayed_ss_factory(

@@ -69,6 +69,8 @@ class LinearDecay:
     ``(V - T) / r`` seconds — a straight-line memory of recent traffic.
     """
 
+    _STATE_ATTRS = ("rate",)
+
     def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError(f"decay rate must be positive, got {rate}")
@@ -102,6 +104,8 @@ class ExponentialDecay:
     weighted moving volume* — the continuous-time analogue of a window of
     effective length ``tau``.
     """
+
+    _STATE_ATTRS = ("tau",)
 
     def __init__(self, tau: float | None = None, half_life: float | None = None
                  ) -> None:

@@ -34,6 +34,8 @@ class SourceHierarchy:
         ending at 0.
     """
 
+    _STATE_ATTRS = ("lengths", "_masks")
+
     def __init__(
         self, granularity: str | Sequence[int] = "byte"
     ) -> None:

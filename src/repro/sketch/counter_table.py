@@ -35,6 +35,7 @@ class CounterTable(Detector):
 
     #: The table's float64 columns; ``counts`` holds the estimates.
     _COLUMNS: tuple[str, ...] = ("counts",)
+    _STATE_ATTRS = ("capacity", "_table", "total")
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:

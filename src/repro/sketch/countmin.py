@@ -33,6 +33,8 @@ from repro.hashing.families import MultiplyShiftFamily
 class CountMinSketch(Detector):
     """The counter array; supports point, batch, and point-query access."""
 
+    _STATE_ATTRS = ("width", "rows", "_hashes", "_table", "total")
+
     def __init__(
         self,
         width: int = 1024,

@@ -23,6 +23,8 @@ from repro.hashing.families import MultiplyShiftFamily
 class CountSketch(Detector):
     """``rows x width`` signed counters with median estimation."""
 
+    _STATE_ATTRS = ("width", "rows", "_hashes", "_signs", "_table", "total")
+
     def __init__(
         self,
         width: int = 1024,

@@ -20,6 +20,8 @@ from repro.sketch.counter_table import CounterTable
 class MisraGries(CounterTable):
     """Fixed-capacity frequent-items summary with one-sided underestimates."""
 
+    _STATE_ATTRS = ("decremented",)
+
     def __init__(self, capacity: int = 256) -> None:
         super().__init__(capacity)
         self.decremented = 0

@@ -34,8 +34,7 @@ class SpaceSaving(CounterTable):
         counts = table.cols["counts"]
         victim_slot = self._min_slot()
         victim_count = float(counts[victim_slot])
-        table.remove(int(table.key_col[victim_slot]))
-        slot = table.insert(key)
+        slot = table.replace(int(table.key_col[victim_slot]), key)
         counts[slot] = victim_count + weight
         table.cols["errors"][slot] = victim_count
 

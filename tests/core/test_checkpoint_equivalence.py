@@ -286,12 +286,16 @@ def _resealed(state, edit):
 
 
 @pytest.mark.parametrize("edit", ["added", "removed"])
-@pytest.mark.parametrize("name", ["spacesaving", "decayed-spacesaving", "rhhh"])
+@pytest.mark.parametrize(
+    "name", ["spacesaving", "decayed-spacesaving", "rhhh", "sliding-spacesaving"]
+)
 def test_payload_with_another_table_layout_is_refused(name, edit, stream):
     """A payload whose checksum holds but whose nested flat table has
     one attribute more or one fewer than this version's, as every
     table-backed detector's checkpoint from before the dense-slot table
-    has, is refused, not migrated, and the detector is left as it was."""
+    has, is refused, not migrated, and the detector is left as it was.
+    A fresh detector refuses it too, although a fresh sliding-window
+    detector holds no bucket, and so no table, to compare with."""
     keys, weights, ts = stream
     spec = get_spec(name)
     detector, reference, donor = spec.factory(), spec.factory(), spec.factory()
@@ -304,6 +308,8 @@ def test_payload_with_another_table_layout_is_refused(name, edit, stream):
         holder = payload
         if "_levels" in payload:
             holder = vars(payload["_levels"][-1])
+        elif "_buckets" in payload:
+            holder = vars(payload["_buckets"][-1][1])
         table = holder["_table"]
         if edit == "added":
             table._tombstones = 0
@@ -311,8 +317,11 @@ def test_payload_with_another_table_layout_is_refused(name, edit, stream):
             del table._free
 
     spec.factory().load_state(_resealed(state, lambda payload: None))
+    changed = _resealed(state, change)
     with pytest.raises(CheckpointError, match="another version"):
-        detector.load_state(_resealed(state, change))
+        spec.factory().load_state(changed)
+    with pytest.raises(CheckpointError, match="another version"):
+        detector.load_state(changed)
     _assert_same_outputs(spec, reference, detector, keys, ts, edit)
 
 

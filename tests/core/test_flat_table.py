@@ -2,18 +2,21 @@
 
 :class:`repro.core.flat_table.FlatTable` keeps ``capacity`` dense slots:
 ``insert`` takes the most recently freed slot, or else the next slot never
-used, and ``remove`` frees one.  The batch calls resolve keys through a
-key-to-slot index that any scalar change leaves stale.  Each test drives
-the table and :class:`Model` through the same seeded operations and
-compares slots, split points, columns and the free stack.
+used, ``remove`` frees one, and ``replace`` hands one key's slot to
+another.  The batch calls resolve keys through a key-to-slot index that
+any scalar change leaves stale.  Each test drives the table and
+:class:`Model` through the same seeded operations and compares slots,
+split points, columns and the free stack.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core.flat_table import FlatTable, admit_batch
+from repro.core.flat_table import FlatTable, admit_batch, plan_batch
 
 SEEDS = [0, 1, 2]
 
@@ -242,3 +245,78 @@ def test_insert_at_capacity_raises():
     _assert_matches(table, model)
     table.remove(11)
     assert table.insert(13) == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replace_leaves_what_remove_then_insert_leaves(seed):
+    rng = np.random.default_rng(seed)
+    table, model = _pair(24)
+    _churn(table, model, rng, 150, 48)
+    while len(model.free) < 3:
+        key = next(iter(model.slot_of))
+        table.remove(key)
+        model.remove(key)
+    twin = copy.deepcopy(table)
+    for new in range(1000, 1010):
+        old = int(rng.choice(list(model.slot_of)))
+        table.lookup_batch(np.array([old, new], dtype=np.uint64))
+        twin.lookup_batch(np.array([old, new], dtype=np.uint64))
+        assert table._index is not None
+
+        slot = table.replace(old, new)
+
+        twin.remove(old)
+        assert twin.insert(new) == slot == model.slot_of[old]
+        model.remove(old)
+        model.insert(new)
+        assert list(table.slot_of.items()) == list(twin.slot_of.items())
+        assert table.key_col.tobytes() == twin.key_col.tobytes()
+        assert table.state.tobytes() == twin.state.tobytes()
+        assert table._free == twin._free and table._unused == twin._unused
+        assert table._index is None and twin._index is None
+        _assert_matches(table, model)
+
+
+def test_replace_of_an_untracked_key_raises_as_remove_does():
+    table, model = _pair(4)
+    for key in (10, 11, 12):
+        assert table.insert(key) == model.insert(key)
+    table.remove(11)
+    model.remove(11)
+    for call in (lambda: table.remove(11), lambda: table.replace(11, 13)):
+        with pytest.raises(KeyError):
+            call()
+        _assert_matches(table, model)
+    assert 13 not in table
+
+
+@pytest.mark.parametrize("case", ["all-hits", "first-misses", "later-misses"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_admit_batch_on_a_full_table_splits_at_the_first_miss(seed, case):
+    """A full table claims nothing: the prefix is the hits before the
+    first miss, the same ``(slots, split)`` that a refused claim, the
+    planned split and a second claim give."""
+    rng = np.random.default_rng(seed)
+    table, model = _pair(24)
+    _churn(table, model, rng, 120, 48)
+    while len(model.slot_of) < 24:
+        key = max(model.slot_of, default=0) + 1
+        assert table.insert(key) == model.insert(key)
+    keys = rng.choice(list(model.slot_of), 300).astype(np.uint64)
+    first_miss = {"all-hits": 300, "first-misses": 0, "later-misses": 150}
+    split = first_miss[case]
+    keys[split::70] = 5000 + np.arange(keys[split::70].size)
+    twin = copy.deepcopy(table)
+    expected = twin.upsert_batch(keys, 0)
+    if expected is None:
+        expected = twin.upsert_batch(keys[:plan_batch(twin, keys)], 0)
+
+    slots, got_split = admit_batch(table, keys)
+
+    assert got_split == split == expected.size
+    np.testing.assert_array_equal(slots, expected)
+    np.testing.assert_array_equal(
+        slots, [model.slot_of[key] for key in keys[:split].tolist()])
+    _assert_matches(table, model)
+    for part, kept in zip(table._index, twin._index):
+        assert part.tobytes() == kept.tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import flat_table
 from repro.core.flat_table import plan_batch
+from repro.decay import decayed_spacesaving
 from repro.decay.decayed_counter import ExactDecayedCounts
 from repro.decay.decayed_spacesaving import DecayedSpaceSaving
 from repro.decay.laws import ExponentialDecay, LinearDecay
@@ -256,34 +257,48 @@ def test_eviction_tail_fails_like_scalar_update_on_a_nan_counter():
     assert batch.state_digest() == scalar.state_digest()
 
 
+def _caida_chunks():
+    """A 30 s caida day as 8,192-packet ``(keys, weights, ts)`` chunks."""
+    trace = caida_like_day(0, duration=30.0)
+    return [(trace.src[start:start + 8192], trace.length[start:start + 8192],
+             trace.ts[start:start + 8192])
+            for start in range(0, len(trace), 8192)]
+
+
+def _count_evictions(monkeypatch, table):
+    """The key each eviction's ``replace`` call evicts, in order."""
+    evictions = []
+    replace = table.replace
+    monkeypatch.setattr(table, "replace", lambda old, new: (
+        evictions.append(old) or replace(old, new)))
+    return evictions
+
+
 def test_eviction_tail_scans_only_on_underflow(monkeypatch):
     """The batch tail takes victims off its heap: no full counter scan
     while no decayed minimum underflows.  Counts work, not time."""
-    trace = caida_like_day(0, duration=30.0)
     det = DecayedSpaceSaving(64, ExponentialDecay(tau=10.0))
-    scans, evictions = [], []
-    scan, remove = det._min_slot, det._table.remove
+    scans = []
+    scan = det._min_slot
     monkeypatch.setattr(det, "_min_slot",
                         lambda now: scans.append(now) or scan(now))
-    monkeypatch.setattr(det._table, "remove",
-                        lambda key: evictions.append(key) or remove(key))
-    for start in range(0, len(trace), 8192):
-        stop = start + 8192
-        det.update_batch(trace.src[start:stop], trace.length[start:stop],
-                         trace.ts[start:stop])
+    evictions = _count_evictions(monkeypatch, det._table)
+    for chunk in _caida_chunks():
+        det.update_batch(*chunk)
     assert len(evictions) > 1000
     assert scans == []
 
 
 def test_eviction_tail_hashes_no_key(monkeypatch):
-    """The batch tail evicts through the table's free stack: no key is
+    """The batch tail hands each victim's slot to the newcomer: no key is
     hashed per eviction, and each ``update_batch`` call hashes a handful
-    of key columns and builds the batch index at most once.  Counts work,
-    not time."""
-    trace = caida_like_day(0, duration=30.0)
+    of key columns and builds the batch index at most once.  A call that
+    finds the table full claims no slot: it builds the index and looks
+    the chunk up, with no claim round and no split planning.  Counts
+    work, not time."""
     det = DecayedSpaceSaving(256, ExponentialDecay(tau=10.0))
     table = det._table
-    scalar_hashes, column_hashes, builds, evictions = [], [], [], []
+    scalar_hashes, column_hashes, builds, claims, plans = [], [], [], [], []
     # Every module-level reference to the scalar mixer counts its calls.
     mix, mix_array = mixers.splitmix64, mixers.splitmix64_array
     for module in list(sys.modules.values()):
@@ -299,18 +314,41 @@ def test_eviction_tail_hashes_no_key(monkeypatch):
     build = table._build_index
     monkeypatch.setattr(table, "_build_index",
                         lambda: builds.append(1) or build())
-    remove = table.remove
-    monkeypatch.setattr(table, "remove",
-                        lambda key: evictions.append(key) or remove(key))
-    per_call = []
-    for start in range(0, len(trace), 8192):
-        stop = start + 8192
-        before = len(builds), len(column_hashes)
-        det.update_batch(trace.src[start:stop], trace.length[start:stop],
-                         trace.ts[start:stop])
-        per_call.append((len(builds) - before[0],
-                         len(column_hashes) - before[1]))
+    upsert = table.upsert_batch
+    monkeypatch.setattr(table, "upsert_batch", lambda keys, max_new: (
+        claims.append(keys.size) or upsert(keys, max_new)))
+    plan = flat_table.plan_batch
+    monkeypatch.setattr(flat_table, "plan_batch", lambda table, keys: (
+        plans.append(keys.size) or plan(table, keys)))
+    evictions = _count_evictions(monkeypatch, table)
+    full, other = [], []
+    for chunk in _caida_chunks():
+        before = [len(work) for work in (builds, column_hashes, claims, plans)]
+        calls = full if len(table) == table.capacity else other
+        det.update_batch(*chunk)
+        calls.append([len(work) - at for work, at in zip(
+            (builds, column_hashes, claims, plans), before)])
     assert len(evictions) > 1000
     assert scalar_hashes == []
-    assert max(b for b, _ in per_call) <= 1
-    assert max(h for _, h in per_call) <= 4
+    assert full
+    for built, hashed, _, _ in full + other:
+        assert built <= 1 and hashed <= 4
+    for _, hashed, claimed, planned in full:
+        assert claimed == planned == 0 and hashed <= 2
+
+
+def test_eviction_tail_decides_lone_minima_without_a_candidate_set(
+        monkeypatch):
+    """Nearly every victim is alone within its rounding window, so at
+    most 1% of evictions gather the window's entries into a candidate
+    set.  Counts work, not time."""
+    det = DecayedSpaceSaving(256, ExponentialDecay(tau=10.0))
+    evictions = _count_evictions(monkeypatch, det._table)
+    windows = []
+    window_victim = decayed_spacesaving._window_victim
+    monkeypatch.setattr(decayed_spacesaving, "_window_victim",
+                        lambda *args: windows.append(1) or window_victim(*args))
+    for chunk in _caida_chunks():
+        det.update_batch(*chunk)
+    assert len(evictions) > 1000
+    assert len(windows) <= 0.01 * len(evictions)
